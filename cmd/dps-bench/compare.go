@@ -27,9 +27,9 @@ func compareFiles(oldPath, newPath string, threshold float64, out *strings.Build
 	if err != nil {
 		return false, fmt.Errorf("read %s: %w", newPath, err)
 	}
-	if oldDoc.Quick != newDoc.Quick || oldDoc.Workers != newDoc.Workers {
-		fmt.Fprintf(out, "note: configurations differ (quick %v/%v, workers %d/%d) — deltas may not be meaningful\n",
-			oldDoc.Quick, newDoc.Quick, oldDoc.Workers, newDoc.Workers)
+	if oldDoc.Quick != newDoc.Quick || oldDoc.NProc != newDoc.NProc || oldDoc.GOMAXPROCS != newDoc.GOMAXPROCS {
+		fmt.Fprintf(out, "note: configurations differ (quick %v/%v, nproc %d/%d, gomaxprocs %d/%d) — deltas may not be meaningful\n",
+			oldDoc.Quick, newDoc.Quick, oldDoc.NProc, newDoc.NProc, oldDoc.GOMAXPROCS, newDoc.GOMAXPROCS)
 	}
 	oldByID := make(map[string]measurement, len(oldDoc.Experiments))
 	for _, m := range oldDoc.Experiments {

@@ -228,6 +228,41 @@ func TestCompareRejectsBadSchema(t *testing.T) {
 	}
 }
 
+// TestCompareHostShapeNote checks that a baseline written before the host
+// shape was recorded (it carries the retired "workers" field instead) still
+// decodes, and that a differing host shape is reported as a note, never as
+// a regression.
+func TestCompareHostShapeNote(t *testing.T) {
+	dir := t.TempDir()
+	oldP := filepath.Join(dir, "old.json")
+	legacy := `{"schema":"dps-bench/1","go_version":"go1.22","quick":true,"workers":0,
+		"experiments":[{"id":"figure6","ns_op":1000,"allocs_op":500}]}`
+	if err := os.WriteFile(oldP, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	newP := filepath.Join(dir, "new.json")
+	doc := benchFile{Schema: "dps-bench/1", Quick: true, NProc: 2, GOMAXPROCS: 2,
+		Experiments: []measurement{{ID: "figure6", NsOp: 1000, AllocsOp: 500}}}
+	data, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(newP, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	regressed, err := compareFiles(oldP, newP, 0.10, &sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regressed {
+		t.Fatalf("host-shape difference gated:\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "nproc 0/2, gomaxprocs 0/2") {
+		t.Fatalf("host-shape note missing:\n%s", sb.String())
+	}
+}
+
 func svMeasurement(rows map[string][2]string) measurement {
 	m := measurement{
 		ID:     "serve",

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dps-bench -exp figure6|table1|figure9|table2|figure15|rebalance|failover|throughput|serve|all
-//	          [-quick] [-workers N] [-stats] [-write EXPERIMENTS.md]
+//	          [-quick] [-stats] [-write EXPERIMENTS.md]
 //	          [-json results.json]
 //	dps-bench -exp chaos [-seed N] [-duration D] [-quick]
 //	dps-bench -compare old.json new.json [-threshold 0.10]
@@ -15,14 +15,15 @@
 //
 // Without -write the regenerated tables print to stdout; with -write the
 // output is additionally assembled into the experiments report file,
-// recording paper-reference values next to the measured rows. -workers
-// shards every node's scheduler over N drainer lanes (scheduler worker lanes);
-// -stats dumps the aggregated engine counters of each experiment (tokens,
-// bytes, flow-control stalls, queue depths, drainer handoffs, migrations).
+// recording paper-reference values next to the measured rows. -stats
+// dumps the aggregated engine counters of each experiment (tokens, bytes,
+// flow-control stalls, queue depths, drainer handoffs, migrations).
 // -json writes machine-readable results — per experiment: wall-clock ns,
 // allocation bytes/counts of the host process, the table rows and the
 // engine counters — so CI can archive one BENCH_<sha>.json per commit and
-// the performance trajectory has data points.
+// the performance trajectory has data points. Each file also records the
+// host's shape (nproc, GOMAXPROCS, Go version); -compare notes a
+// difference but does not gate on it.
 //
 // The rebalance experiment is not in the paper: it prices the placement
 // layer's live thread migration by remapping a ring hop mid-benchmark.
@@ -64,7 +65,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: figure6, table1, figure9, table2, figure15, rebalance, failover, throughput, serve, chaos or all (all = every experiment except chaos, which binds wall-clock minutes and must be requested explicitly)")
 	quick := flag.Bool("quick", false, "shrink problem sizes for a fast smoke run")
-	workers := flag.Int("workers", 0, "scheduler worker lanes per node (0 = per-instance drainers)")
 	stats := flag.Bool("stats", false, "dump aggregated engine counters per experiment")
 	write := flag.String("write", "", "also write the report to this file (e.g. EXPERIMENTS.md)")
 	jsonOut := flag.String("json", "", "also write machine-readable results to this file")
@@ -78,7 +78,7 @@ func main() {
 		os.Exit(runCompare(flag.Args(), *threshold))
 	}
 
-	opt := bench.Options{Quick: *quick, Workers: *workers, Seed: *seed, Duration: *duration}
+	opt := bench.Options{Quick: *quick, Seed: *seed, Duration: *duration}
 	fns := map[string]func(bench.Options) (*bench.Report, error){
 		"figure6":    bench.Figure6,
 		"table1":     bench.Table1,
@@ -184,7 +184,8 @@ type benchFile struct {
 	Schema      string        `json:"schema"`
 	GoVersion   string        `json:"go_version"`
 	Quick       bool          `json:"quick"`
-	Workers     int           `json:"workers"`
+	NProc       int           `json:"nproc"`      // host CPUs (runtime.NumCPU)
+	GOMAXPROCS  int           `json:"gomaxprocs"` // Go scheduler parallelism
 	Experiments []measurement `json:"experiments"`
 }
 
@@ -193,7 +194,8 @@ func writeJSON(path string, measures []measurement, opt bench.Options) error {
 		Schema:      "dps-bench/1",
 		GoVersion:   runtime.Version(),
 		Quick:       opt.Quick,
-		Workers:     opt.Workers,
+		NProc:       runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Experiments: measures,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

@@ -5,30 +5,29 @@
 //
 // The supported API is the repro/dps package: typed stages and graphs
 // (Stage[In, Out], Chain/Then, Graph[In, Out].Call(ctx, in) (Out, error)),
-// context-aware calls whose cancellation releases flow-control state,
-// live thread remapping (Collection.Remap migrates threads between nodes
-// mid-execution, with state shipment and token forwarding), fault
-// tolerance (WithCheckpoint enables checkpointed threads, token retention
-// and replay; a node declared dead — WithFailureDetect probes, kernel
-// heartbeats, or App.FailNode — has its threads restored on the survivors
-// with exactly-once semantics, observable via Collection.OnRecover), and
-// functional options (NewLocal / NewSim / Connect with WithWindow,
-// WithWorkers, WithQueue, WithFlowPolicy, WithForceSerialize,
-// WithRebalance, WithCheckpoint, WithFailureDetect, WithRegistry). It is
-// a zero-allocation façade over the engine in internal/core, which layers
-// the scheduler (internal/core/sched: per-thread-instance FIFO queues and
-// sharded drainers), flow control (internal/core/flowctl: Window and
-// Unbounded policies, load-balancing credits), placement
-// (internal/core/place: epoch-versioned thread→node tables and the
-// live-remap protocol) and failure recovery (internal/core/ft: checkpoint
-// records, sender retention logs, duplicate filters, the failover
-// coordinator) under the DPS model, with one package per substrate
-// (serialization, simulated cluster network with Crash/Partition fault
-// injection, transports, kernel runtime, dense linear algebra, Game of
-// Life). Only repro/dps imports the engine; CI enforces the boundary —
-// along with the lock, buffer-ownership, wire-kind and seed-determinism
-// disciplines — through the project's own linter, cmd/dps-vet (rules and
-// golden fixtures in internal/analysis).
+// context-aware calls whose cancellation releases flow-control state, live
+// thread remapping (Collection.Remap migrates threads between nodes
+// mid-execution, with state shipment and token forwarding), fault tolerance
+// (WithCheckpoint enables checkpointed threads, token retention and replay;
+// a node declared dead — WithFailureDetect probes, kernel heartbeats, or
+// App.FailNode — has its threads restored on the survivors with exactly-once
+// semantics, observable via Collection.OnRecover), and functional options
+// (NewLocal / NewSim / Connect with WithWindow, WithFlowPolicy,
+// WithForceSerialize, WithRebalance, WithCheckpoint, WithFailureDetect,
+// WithRegistry). It is a zero-allocation façade over the engine in
+// internal/core, which layers the scheduler (internal/core/sched:
+// per-thread-instance FIFO queues and on-demand drainers), flow control
+// (internal/core/flowctl: Window and Unbounded policies, load-balancing
+// credits), placement (internal/core/place: epoch-versioned thread→node
+// tables and the live-remap protocol) and failure recovery
+// (internal/core/ft: checkpoint records, sender retention logs, duplicate
+// filters, the failover coordinator) under the DPS model, with one package
+// per substrate (serialization, simulated cluster network with
+// Crash/Partition fault injection, transports, kernel runtime, dense linear
+// algebra, Game of Life). Only repro/dps imports the engine; CI enforces the
+// boundary — along with the lock, buffer-ownership, wire-kind and
+// seed-determinism disciplines — through the project's own linter,
+// cmd/dps-vet (rules and golden fixtures in internal/analysis).
 //
 // Executables are under cmd/, runnable examples under examples/, and the
 // root bench_test.go regenerates every table and figure of the paper's

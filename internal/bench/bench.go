@@ -34,10 +34,6 @@ type Options struct {
 	// seconds (used by `go test -bench` and CI); the default sizes follow
 	// the paper more closely.
 	Quick bool
-	// Workers is the per-node scheduler worker count threaded into every
-	// experiment's core.Config; zero keeps the engine's default on-demand
-	// drainer per thread instance.
-	Workers int
 	// Seed derives the Chaos experiment's fault schedules (zero picks 1);
 	// a failing soak reproduces exactly from its printed seed.
 	Seed int64
@@ -110,7 +106,7 @@ func Figure6(opt Options) (*Report, error) {
 	}
 	agg := &core.Stats{}
 	for _, size := range sizes {
-		dps, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, core.Config{Window: 64, Workers: opt.Workers})
+		dps, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, core.Config{Window: 64})
 		if err != nil {
 			return nil, fmt.Errorf("figure6 dps size=%d: %w", size, err)
 		}
@@ -155,7 +151,7 @@ func Rebalance(opt Options) (*Report, error) {
 		Header: []string{"scenario", "MB/s", "migrations", "forwarded", "migBytes"},
 	}
 	agg := &core.Stats{}
-	cfg := core.Config{Window: 64, Workers: opt.Workers}
+	cfg := core.Config{Window: 64}
 	base, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("rebalance baseline: %w", err)
@@ -210,14 +206,14 @@ func Failover(opt Options) (*Report, error) {
 		Header: []string{"scenario", "MB/s", "recovery", "ckpts", "ckptBytes", "replayed", "failovers"},
 	}
 	agg := &core.Stats{}
-	base, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, core.Config{Window: 64, Workers: opt.Workers})
+	base, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, core.Config{Window: 64})
 	if err != nil {
 		return nil, fmt.Errorf("failover baseline: %w", err)
 	}
 	agg.Add(base.Stats)
 	t.AddRow("ft off", fmt.Sprintf("%.1f", base.Throughput), "-", "0", "0", "0", "0")
 
-	ftCfg := core.Config{Window: 64, Workers: opt.Workers, Checkpoint: ckpt}
+	ftCfg := core.Config{Window: 64, Checkpoint: ckpt}
 	ftOn, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, ftCfg)
 	if err != nil {
 		return nil, fmt.Errorf("failover ft-on run: %w", err)
@@ -261,7 +257,7 @@ func Failover(opt Options) (*Report, error) {
 func table1Cell(n, s, workers int, opt Options, agg *core.Stats) (reduction, ratio float64, err error) {
 	a := matrix.Random(n, n, 1)
 	b := matrix.Random(n, n, 2)
-	appCfg := core.Config{Window: 256, Workers: opt.Workers}
+	appCfg := core.Config{Window: 256}
 	run := func(cfg *simnet.Config, compute bool) (time.Duration, error) {
 		var app *core.App
 		var net *simnet.Network
@@ -387,7 +383,7 @@ func lifeSpeedupOnce(worldW, worldH, workers, iters int, improved bool, opt Opti
 	net := simnet.New(gigabit())
 	defer net.Close()
 	names := nodeNames("life", workers)
-	app, err := core.NewSimApp(core.Config{Workers: opt.Workers}, net, names...)
+	app, err := core.NewSimApp(core.Config{}, net, names...)
 	if err != nil {
 		return 0, err
 	}
@@ -495,7 +491,7 @@ func Table2(opt Options) (*Report, error) {
 	for _, blk := range blocks {
 		net := simnet.New(gigabit())
 		names := nodeNames("t2", workers)
-		app, err := core.NewSimApp(core.Config{Workers: opt.Workers}, net, names...)
+		app, err := core.NewSimApp(core.Config{}, net, names...)
 		if err != nil {
 			net.Close()
 			return nil, err
@@ -583,19 +579,26 @@ func Table2(opt Options) (*Report, error) {
 	}, nil
 }
 
-// luRun measures one LU configuration (best of two runs).
-func luRun(n, r, workers int, pipelined bool, opt Options, agg *core.Stats) (time.Duration, error) {
-	best := time.Duration(0)
+// luRuns measures both LU variants at one node count, best of two runs
+// each. The variants alternate run by run, so a burst of other load on the
+// host slows both alike instead of whichever happened to run during it.
+func luRuns(n, r, workers int, opt Options, agg *core.Stats) (pipelined, nonPipelined time.Duration, err error) {
 	for rep := 0; rep < 2; rep++ {
-		el, err := luRunOnce(n, r, workers, pipelined, opt, agg)
-		if err != nil {
-			return 0, err
-		}
-		if best == 0 || el < best {
-			best = el
+		for _, pip := range []bool{true, false} {
+			el, err := luRunOnce(n, r, workers, pip, opt, agg)
+			if err != nil {
+				return 0, 0, fmt.Errorf("figure15 workers=%d pipelined=%v: %w", workers, pip, err)
+			}
+			best := &nonPipelined
+			if pip {
+				best = &pipelined
+			}
+			if *best == 0 || el < *best {
+				*best = el
+			}
 		}
 	}
-	return best, nil
+	return pipelined, nonPipelined, nil
 }
 
 func luRunOnce(n, r, workers int, pipelined bool, opt Options, agg *core.Stats) (time.Duration, error) {
@@ -606,7 +609,7 @@ func luRunOnce(n, r, workers int, pipelined bool, opt Options, agg *core.Stats) 
 	net := simnet.New(scaledGigabit(10))
 	defer net.Close()
 	names := nodeNames("lu", workers)
-	app, err := core.NewSimApp(core.Config{Window: 256, Workers: opt.Workers}, net, names...)
+	app, err := core.NewSimApp(core.Config{Window: 256}, net, names...)
 	if err != nil {
 		return 0, err
 	}
@@ -638,23 +641,25 @@ func Figure15(opt Options) (*Report, error) {
 		Header: []string{"variant", "nodes", "time[ms]", "speedup"},
 	}
 	agg := &core.Stats{}
+	elapsed := map[bool][]time.Duration{}
+	for _, workers := range nodesList {
+		pip, non, err := luRuns(n, r, workers, opt, agg)
+		if err != nil {
+			return nil, err
+		}
+		elapsed[true] = append(elapsed[true], pip)
+		elapsed[false] = append(elapsed[false], non)
+	}
 	for _, pipelined := range []bool{true, false} {
-		var base time.Duration
-		for _, workers := range nodesList {
-			el, err := luRun(n, r, workers, pipelined, opt, agg)
-			if err != nil {
-				return nil, fmt.Errorf("figure15 workers=%d pipelined=%v: %w", workers, pipelined, err)
-			}
-			if workers == nodesList[0] {
-				base = el
-			}
-			variant := "non-pipelined"
-			if pipelined {
-				variant = "pipelined"
-			}
+		variant := "non-pipelined"
+		if pipelined {
+			variant = "pipelined"
+		}
+		base := elapsed[pipelined][0]
+		for i, el := range elapsed[pipelined] {
 			t.AddRow(
 				variant,
-				fmt.Sprint(workers),
+				fmt.Sprint(nodesList[i]),
 				fmt.Sprintf("%.0f", el.Seconds()*1000),
 				fmt.Sprintf("%.2f", base.Seconds()/el.Seconds()),
 			)

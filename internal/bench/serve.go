@@ -48,7 +48,6 @@ const (
 	serveNodes       = 3
 	serveDeadline    = 2 * time.Second
 	serveBudget      = 2048
-	serveQueue       = 64
 	serveFan         = 4
 	serveBackoffMin  = 250 * time.Microsecond
 	serveBackoffMax  = 8 * time.Millisecond
@@ -311,11 +310,9 @@ func Serve(opt Options) (*Report, error) {
 		results := make(map[string]*serveResult, len(modes))
 		for _, m := range modes {
 			cfg := core.Config{
-				Workers:          opt.Workers,
 				Batch:            true,
 				CallShards:       m.shards,
 				MaxInFlightCalls: serveBudget,
-				Queue:            serveQueue,
 				FlowPolicy:       flowctl.Deadline{N: flowctl.DefaultWindow},
 			}
 			res, err := runServe(cfg, workload, callers, span)

@@ -163,7 +163,7 @@ func Throughput(opt Options) (*Report, error) {
 		}
 		results := make(map[string]*tpResult, len(variants))
 		for _, v := range variants {
-			cfg := core.Config{Window: 64, Workers: opt.Workers, Batch: v.batch}
+			cfg := core.Config{Window: 64, Batch: v.batch}
 			if v.ft {
 				cfg.Checkpoint = 2 * time.Millisecond
 			}

@@ -16,7 +16,7 @@ func TestUppercaseBatched(t *testing.T) {
 	app := newLocalApp(t, core.Config{Batch: true, ForceSerialize: true}, "node0", "node1", "node2")
 	g := buildUppercase(t, app, "upper", "node1*2 node2")
 	in := "batched wire path throughput"
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestUppercaseBatchedCompressedFT(t *testing.T) {
 	}, "node0", "node1")
 	g := buildUppercase(t, app, "upper", "node1")
 	in := "compressed and sequenced"
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestUppercaseBatchedOverSimnet(t *testing.T) {
 	}
 	defer app.Close()
 	g := buildUppercase(t, app, "upper", "n1 n2")
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "simnet batch"}, 20*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "simnet batch"}, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestColocatedFastPath(t *testing.T) {
 	app := newLocalApp(t, core.Config{}, "node0", "node1", "node2")
 	g := buildUppercase(t, app, "upper", "node1*2 node2")
 	in := "colocated lanes"
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 )
 
 // Call executes the flow graph on one input token from the application's
@@ -35,22 +33,6 @@ func (g *Flowgraph) CallFrom(ctx context.Context, origin string, tok Token) (Tok
 	res := <-ce.ch
 	recycleCallEntry(ce)
 	return res.Value, res.Err
-}
-
-// CallTimeout is CallFrom with a deadline.
-//
-// Deprecated: use CallFrom with a context from context.WithTimeout. This
-// shim remains for existing experiments; unlike the historical behaviour
-// (which merely stopped waiting), the expired deadline now cancels the call
-// like any other context cancellation.
-func (g *Flowgraph) CallTimeout(origin string, tok Token, d time.Duration) (Token, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	out, err := g.CallFrom(ctx, origin, tok)
-	if errors.Is(err, context.DeadlineExceeded) {
-		return nil, fmt.Errorf("dps: graph %q: call timed out after %v: %w", g.name, d, err)
-	}
-	return out, err
 }
 
 // CallAsync starts a call from the master node and returns the channel the

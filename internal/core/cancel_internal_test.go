@@ -113,7 +113,9 @@ func TestCancelReapsStreamGroups(t *testing.T) {
 	waitGroupsReaped(t, app)
 	// The graph must stay fully usable afterwards.
 	for i := 0; i < 3; i++ {
-		out, err := g.CallTimeout(app.MasterNode(), &nestTok{N: 5}, 30*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := g.CallFrom(ctx, app.MasterNode(), &nestTok{N: 5})
+		cancel()
 		if err != nil {
 			t.Fatalf("call %d after stream cancellation: %v", i, err)
 		}

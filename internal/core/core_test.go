@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -85,6 +86,14 @@ func buildUppercase(t testing.TB, app *core.App, graphName string, computeMappin
 	return g
 }
 
+// callWithin calls g from origin, canceling the call if it has not
+// completed within d.
+func callWithin(g *core.Flowgraph, origin string, tok core.Token, d time.Duration) (core.Token, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return g.CallFrom(ctx, origin, tok)
+}
+
 func newLocalApp(t testing.TB, cfg core.Config, nodes ...string) *core.App {
 	t.Helper()
 	app, err := core.NewLocalApp(cfg, nodes...)
@@ -98,7 +107,7 @@ func newLocalApp(t testing.TB, cfg core.Config, nodes ...string) *core.App {
 func TestUppercaseSingleNode(t *testing.T) {
 	app := newLocalApp(t, core.Config{}, "node0")
 	g := buildUppercase(t, app, "upper", "node0")
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "hello, world"}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "hello, world"}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +119,7 @@ func TestUppercaseSingleNode(t *testing.T) {
 func TestUppercaseMultiNode(t *testing.T) {
 	app := newLocalApp(t, core.Config{}, "node0", "node1", "node2")
 	g := buildUppercase(t, app, "upper", "node1*2 node2")
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "dynamic parallel schedules"}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "dynamic parallel schedules"}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +133,7 @@ func TestUppercaseForceSerialize(t *testing.T) {
 	// for local transfers.
 	app := newLocalApp(t, core.Config{ForceSerialize: true}, "node0")
 	g := buildUppercase(t, app, "upper", "node0")
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "force"}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "force"}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +151,7 @@ func TestUppercaseOverSimnet(t *testing.T) {
 	}
 	defer app.Close()
 	g := buildUppercase(t, app, "upper", "n1 n2 n3")
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "simnet"}, 20*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "simnet"}, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +171,7 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			in := fmt.Sprintf("call number %d", i)
-			out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: in}, 20*time.Second)
+			out, err := callWithin(g, app.MasterNode(), &StringToken{Str: in}, 20*time.Second)
 			if err != nil {
 				errs <- err
 				return
@@ -242,7 +251,7 @@ func TestThreadStatePersistsAcrossTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 10}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 10}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +288,7 @@ func TestThreadStatePersistsAcrossTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := g2.CallTimeout(app.MasterNode(), &CountToken{}, 10*time.Second)
+	out2, err := callWithin(g2, app.MasterNode(), &CountToken{}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,29 +11,26 @@ import (
 	"repro/internal/serial"
 )
 
-// Sharded-scheduler stress: the scenarios of stress_test.go re-run with
-// Config.Workers > 1, so every node multiplexes its thread instances over a
-// small pool of drainer lanes instead of one goroutine per runnable
-// instance. Semantics must be unchanged: per-instance FIFO ordering,
-// progress while operations stall on flow control, and state consistency
-// under concurrent graph calls.
+// Flow-control stress: scenarios in the spirit of stress_test.go, each run
+// under several flow-control configurations. Semantics must not depend on
+// the window: per-instance FIFO ordering, progress while operations stall
+// on flow control, and state consistency under concurrent graph calls.
 
-// shardedConfigs are the engine configurations every scenario runs under.
-func shardedConfigs() []core.Config {
+// flowConfigs are the engine configurations every scenario runs under.
+func flowConfigs() []core.Config {
 	return []core.Config{
-		{Workers: 2, Window: 16},
-		{Workers: 4, Window: 32},
-		{Workers: 4, Window: 8, Queue: 16}, // tiny queue: exercises overflow
-		{Workers: 3, FlowPolicy: flowctl.Unbounded{}},
+		{Window: 16},
+		{Window: 32},
+		{Window: 8}, // small window: frequent stalls and drainer handoffs
+		{FlowPolicy: flowctl.Unbounded{}},
 	}
 }
 
 func configName(cfg core.Config) string {
-	pol := "window"
 	if cfg.FlowPolicy != nil {
-		pol = cfg.FlowPolicy.Name()
+		return cfg.FlowPolicy.Name()
 	}
-	return fmt.Sprintf("workers=%d_%s%d_queue=%d", cfg.Workers, pol, cfg.Window, cfg.Queue)
+	return fmt.Sprintf("window%d", cfg.Window)
 }
 
 // SeqToken carries a split-assigned sequence number.
@@ -43,12 +40,11 @@ type SeqToken struct {
 
 var _ = serial.MustRegister[SeqToken]()
 
-// TestShardedFIFOPerInstance posts a numbered stream to one single-thread
+// TestFIFOPerInstance posts a numbered stream to one single-thread
 // collection and checks the leaf observed the tokens in posting order —
-// the per-instance FIFO guarantee under sharded drainers.
-func TestShardedFIFOPerInstance(t *testing.T) {
-	for _, cfg := range shardedConfigs() {
-		cfg := cfg
+// the per-instance FIFO guarantee.
+func TestFIFOPerInstance(t *testing.T) {
+	for _, cfg := range flowConfigs() {
 		t.Run(configName(cfg), func(t *testing.T) {
 			app := newLocalApp(t, cfg, "node0", "node1")
 			main := core.MustCollection[struct{}](app, "main")
@@ -91,7 +87,7 @@ func TestShardedFIFOPerInstance(t *testing.T) {
 				t.Fatal(err)
 			}
 			const tokens = 2000
-			out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
+			out, err := callWithin(g, app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,19 +98,18 @@ func TestShardedFIFOPerInstance(t *testing.T) {
 			defer mu.Unlock()
 			for i, v := range seen {
 				if v != i {
-					t.Fatalf("FIFO order violated at %d: got %d (workers=%d)", i, v, cfg.Workers)
+					t.Fatalf("FIFO order violated at %d: got %d", i, v)
 				}
 			}
 		})
 	}
 }
 
-// TestShardedDeepNesting is stress_test.go's nested construct chain under
-// sharded drainers: blocked openers must hand their lanes off or the
-// nesting deadlocks.
-func TestShardedDeepNesting(t *testing.T) {
-	for _, cfg := range shardedConfigs() {
-		cfg := cfg
+// TestDeepNestingUnderFlowControl is stress_test.go's nested construct
+// chain under each flow configuration: blocked openers must hand their
+// drainer role off or the nesting deadlocks.
+func TestDeepNestingUnderFlowControl(t *testing.T) {
+	for _, cfg := range flowConfigs() {
 		t.Run(configName(cfg), func(t *testing.T) {
 			app := newLocalApp(t, cfg, "node0", "node1")
 			tc := core.MustCollection[struct{}](app, "tc")
@@ -153,7 +148,7 @@ func TestShardedDeepNesting(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 1}, 60*time.Second)
+			out, err := callWithin(g, app.MasterNode(), &CountToken{N: 1}, 60*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,12 +159,11 @@ func TestShardedDeepNesting(t *testing.T) {
 	}
 }
 
-// TestShardedWideFanOutConcurrentCalls hammers a stateful collection with
-// concurrent calls far beyond the flow-control window under sharded
-// drainers, verifying state consistency (serialized thread execution).
-func TestShardedWideFanOutConcurrentCalls(t *testing.T) {
-	for _, cfg := range shardedConfigs() {
-		cfg := cfg
+// TestWideFanOutConcurrentCalls hammers a stateful collection with
+// concurrent calls far beyond the flow-control window, verifying state
+// consistency (serialized thread execution).
+func TestWideFanOutConcurrentCalls(t *testing.T) {
+	for _, cfg := range flowConfigs() {
 		t.Run(configName(cfg), func(t *testing.T) {
 			app := newLocalApp(t, cfg, "node0", "node1", "node2")
 			workers := core.MustCollection[counterState](app, "workers")
@@ -213,7 +207,7 @@ func TestShardedWideFanOutConcurrentCalls(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: per}, 120*time.Second)
+					out, err := callWithin(g, app.MasterNode(), &CountToken{N: per}, 120*time.Second)
 					if err != nil {
 						t.Error(err)
 						return
@@ -254,7 +248,7 @@ func TestShardedWideFanOutConcurrentCalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := g2.CallTimeout(app.MasterNode(), &CountToken{}, 60*time.Second)
+			out, err := callWithin(g2, app.MasterNode(), &CountToken{}, 60*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -807,7 +807,7 @@ func (rt *Runtime) installRecovered(m *replayMsg, src string) {
 	inst.ft = ft.NewState(ft.StreamOf(key.Collection, key.Thread))
 	inst.ft.Restore(m.Rec)
 	ftDebugf("install %s on %q: state=%dB in=%v log=%d", key, rt.name, len(m.Rec.State), m.Rec.In, len(m.Rec.Log))
-	rt.sched.InitInstance(&inst.exec, shardKey(key.Collection, key.Thread))
+	rt.sched.InitInstance(&inst.exec)
 	ik := instKey{collection: key.Collection, index: key.Thread}
 	rt.mu.Lock()
 	if _, exists := rt.threads[ik]; exists {

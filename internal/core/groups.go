@@ -334,6 +334,8 @@ func (rt *Runtime) handleGroupEnd(m *groupEndMsg, src string) {
 		return
 	}
 	node := g.nodes[m.Node]
+	rt.place.dispatching.Add(1)
+	defer rt.place.dispatching.Add(-1)
 	if rt.place.active.Load() != 0 {
 		key := place.Key{Collection: node.tc.Name(), Thread: m.Thread}
 		if rt.placeIntercept(key, placeItem{src: src, ge: m, node: node}) {

@@ -31,7 +31,10 @@ import (
 //     fence down the new channel (ahead of all its direct tokens). The new
 //     owner buffers a sender's direct tokens between the two fences, which
 //     is exactly when stale tokens of that sender may still be in flight —
-//     per-instance FIFO order survives the route change;
+//     per-instance FIFO order survives the route change. The old owner is
+//     the exception (see emitFences): both its fences go straight to the
+//     new owner, and its route lock stays held until step 4 has flushed
+//     its held arrivals;
 //  4. ship + forward — the state travels in a migration envelope
 //     (msgMigrate) to the new owner, the relay flushes its held arrivals
 //     behind it and forwards any later stale traffic (counted as
@@ -77,6 +80,13 @@ type placeState struct {
 	// fastRoutes counts this runtime's posts inside the pre-migration
 	// routing fast path (see routeFast).
 	fastRoutes atomic.Int64
+
+	// dispatching counts arrivals between their placement check and their
+	// registration with the local instance (in-flight count or merge
+	// group); instanceIdle waits it out. Counted from before the active
+	// check, so an arrival that passed the intercepts just before a hold
+	// began reaches the instance before its state is captured.
+	dispatching atomic.Int64
 
 	mu        sync.Mutex
 	relays    map[place.Key]*relayEntry
@@ -234,16 +244,25 @@ func (app *App) enableSlowRouting() {
 // --- receiver side: intercepts ------------------------------------------
 
 // placeIntercept runs one non-fence arrival through the placement state
-// machines, in order: the relay of an instance that migrated away
+// machines, in order: the pending buffer of an inbound migration that has
+// not finished activating, the relay of an instance that migrated away
 // (forwarding mode), the fence gates (a sender's direct tokens buffer
-// between its opening and forwarded closing fence), the relay of an
-// instance quiescing here (hold, with pass-through for open merge groups),
-// and the pending buffer of an inbound migration whose state has not
-// arrived yet. It reports whether the item was consumed; otherwise the
-// caller dispatches it normally.
+// between its opening and forwarded closing fence), and the relay of an
+// instance quiescing here (hold, with pass-through for open merge groups).
+// It reports whether the item was consumed; otherwise the caller dispatches
+// it normally.
 func (rt *Runtime) placeIntercept(key place.Key, it placeItem) bool {
 	ps := &rt.place
 	ps.mu.Lock()
+	if pend, ok := ps.pending[key]; ok {
+		// While an inbound migration activates and replays its buffer, every
+		// arrival queues behind it: the replay offers items to the fence
+		// gates in arrival order, so a direct token arriving mid-replay must
+		// not reach an already opened gate ahead of older buffered ones.
+		ps.pending[key] = append(pend, it)
+		ps.mu.Unlock()
+		return true
+	}
 	re := ps.relays[key]
 	ps.mu.Unlock()
 	if re != nil && re.relay.Target() != "" {
@@ -267,11 +286,6 @@ func (rt *Runtime) placeIntercept(key place.Key, it placeItem) bool {
 		if !held {
 			rt.forwardItem(it, target)
 		}
-		return true
-	}
-	if pend, ok := ps.pending[key]; ok {
-		ps.pending[key] = append(pend, it)
-		ps.mu.Unlock()
 		return true
 	}
 	ps.mu.Unlock()
@@ -468,9 +482,16 @@ func (rt *Runtime) instanceIdle(key place.Key) bool {
 		ps.mu.Unlock()
 		return false
 	}
+	_, replaying := ps.pending[key]
 	ps.mu.Unlock()
+	if replaying {
+		return false // the inbound migration's buffer is still draining
+	}
 	own := rt.place.ownEpochOf(key)
 	if rt.place.gates.PendingFor(key, own, func(item any) { rt.deliverDirect(item.(placeItem)) }) {
+		return false
+	}
+	if ps.dispatching.Load() != 0 {
 		return false
 	}
 	inst := rt.lookupInstance(instKey{collection: key.Collection, index: key.Thread})
@@ -553,13 +574,25 @@ func (rt *Runtime) lookupInstance(ik instKey) *threadInstance {
 // closing fence down the old channel, the opening fence down the new one.
 // The coordinator holds this runtime's route lock for the key, so the pair
 // cleanly cuts this sender's token stream in two.
+//
+// The old owner sends both halves straight to the new owner instead. Its
+// relayed items share its transport source with its direct tokens, so an
+// open gate for it would also buffer other senders' stale tokens while
+// their closing fences pass, letting their direct tokens overtake them. It
+// needs no gate: self-delivery is synchronous, so all its stale tokens are
+// in the hold buffer by the flip, and the coordinator keeps its route lock
+// until that buffer is flushed.
 func (rt *Runtime) emitFences(key place.Key, epoch uint64, from, to string) {
 	closing := &fenceMsg{Collection: key.Collection, Thread: key.Thread, Epoch: epoch, Src: rt.name, Phase: byte(place.FenceClose)}
 	opening := &fenceMsg{Collection: key.Collection, Thread: key.Thread, Epoch: epoch, Src: rt.name, Phase: byte(place.FenceOpen)}
-	if err := rt.lnk.sendFence(from, closing); err != nil {
-		rt.app.fail(err)
+	closeVia := from
+	if rt.name == from {
+		closeVia = to
 	}
 	if err := rt.lnk.sendFence(to, opening); err != nil {
+		rt.app.fail(err)
+	}
+	if err := rt.lnk.sendFence(closeVia, closing); err != nil {
 		rt.app.fail(err)
 	}
 }
@@ -641,7 +674,7 @@ func (rt *Runtime) installMigrated(m *migrateMsg) {
 			inst.ft.Restore(rec)
 		}
 	}
-	rt.sched.InitInstance(&inst.exec, shardKey(m.Collection, m.Thread))
+	rt.sched.InitInstance(&inst.exec)
 	rt.mu.Lock()
 	if _, exists := rt.threads[ik]; exists {
 		rt.mu.Unlock()
@@ -807,12 +840,18 @@ func (app *App) migrateThread(ctx context.Context, tc *ThreadCollection, thread 
 			r.emitFences(key, epoch, from, to)
 		}
 	}
+	// The old owner's route lock stays held until its held arrivals have
+	// been flushed (see emitFences).
+	oldLock := rtOld.routeLock(key)
 	for i := len(locks) - 1; i >= 0; i-- {
-		locks[i].Unlock()
+		if locks[i] != oldLock {
+			locks[i].Unlock()
+		}
 	}
 	if serr != nil {
 		// Unreachable in practice (the thread index was validated above);
 		// surface it without corrupting the placement.
+		oldLock.Unlock()
 		rtOld.abortHold(key, re)
 		return serr
 	}
@@ -820,11 +859,13 @@ func (app *App) migrateThread(ctx context.Context, tc *ThreadCollection, thread 
 	// Ship the state; the relay flushes its held arrivals behind it on the
 	// same channel, then forwards stale traffic from then on.
 	if err := rtOld.lnk.sendMigrate(to, &migrateMsg{Collection: key.Collection, Thread: thread, Epoch: epoch, Fences: len(rts), State: payload, FT: ftRec}); err != nil {
+		oldLock.Unlock()
 		err = fmt.Errorf("dps: shipping state of %s to %q: %w", key, to, err)
 		app.fail(err)
 		return err
 	}
 	re.relay.Flush(to, func(item any) { rtOld.forwardItem(item.(placeItem), to) })
+	oldLock.Unlock()
 
 	// The handover completes when the new owner has installed the state; a
 	// follow-up migration of the same thread must not observe a node that

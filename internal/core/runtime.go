@@ -20,8 +20,7 @@ import (
 // five engine layers:
 //
 //   - sched:   per-thread-instance work queues, FIFO execution tickets and
-//     drainer handoff (internal/core/sched), optionally sharded over N
-//     worker lanes;
+//     drainer handoff (internal/core/sched);
 //   - flowctl: per-split-group flow-control gates and the load-balancing
 //     credit trackers (internal/core/flowctl);
 //   - groups:  split/merge/stream group lifecycle (groups.go);
@@ -158,7 +157,7 @@ func newRuntime(app *App, tr transport.Transport, idx int) *Runtime {
 	}
 	rt.lnk.init(tr, app.reg, &app.cfg, app.ftOn, rt, &rt.stats, peers)
 	rt.lnk.ring = rt.ring
-	rt.sched.Init(sched.Config{Workers: app.cfg.Workers, QueueCap: app.cfg.Queue}, rt.runItem)
+	rt.sched.Init(rt.runItem)
 	return rt
 }
 
@@ -191,19 +190,9 @@ func (rt *Runtime) instance(tc *ThreadCollection, index int) (*threadInstance, e
 	if rt.app.ftOn {
 		inst.ft = ft.NewState(ft.StreamOf(tc.Name(), index))
 	}
-	rt.sched.InitInstance(&inst.exec, shardKey(tc.Name(), index))
+	rt.sched.InitInstance(&inst.exec)
 	rt.threads[key] = inst
 	return inst, nil
-}
-
-// shardKey spreads thread instances over scheduler shards: same-index
-// threads of different collections land on different lanes.
-func shardKey(collection string, index int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(collection); i++ {
-		h = (h ^ uint32(collection[i])) * 16777619
-	}
-	return int(h&0x7fffffff) + index
 }
 
 // credit returns (creating presized to threads, if needed) the credit
@@ -243,6 +232,8 @@ func (rt *Runtime) deliverToken(env *envelope, src string) {
 		return
 	}
 	node := g.nodes[env.Node]
+	rt.place.dispatching.Add(1)
+	defer rt.place.dispatching.Add(-1)
 	if rt.place.active.Load() != 0 {
 		key := place.Key{Collection: node.tc.Name(), Thread: env.Thread}
 		if rt.placeIntercept(key, placeItem{src: src, env: env, g: g, node: node}) {
@@ -557,14 +548,15 @@ func (rt *Runtime) recoverOp(c *Ctx) {
 // callCanceled reports whether an execution's originating call is canceled,
 // covering the window between the context firing and cancelCall's
 // bookkeeping (the pending entry still exists but its context has an error).
+// The pending table is consulted first: cancelCall removes the entry and
+// records the cancellation under the same shard lock, so once the lookup
+// misses, the record is visible. In the other order a cancellation landing
+// between the two checks would be missed by both.
 func (rt *Runtime) callCanceled(id uint64) bool {
-	if rt.app.callAborted(id) {
-		return true
-	}
 	if ctx := rt.app.callContext(id); ctx != nil && ctx.Err() != nil {
 		return true
 	}
-	return false
+	return rt.app.callAborted(id)
 }
 
 // cleanupCanceled unwinds one execution of a canceled call: the group it

@@ -46,17 +46,6 @@ func (l *FIFOLock) Reserve() Ticket {
 // Wait blocks until the reservation is granted.
 func (t Ticket) Wait() { <-t.ch }
 
-// granted reports whether the reservation is already grantable without
-// blocking (the lock reached this ticket's turn).
-func (t Ticket) granted() bool {
-	select {
-	case <-t.ch:
-		return true
-	default:
-		return false
-	}
-}
-
 // Lock reserves and waits.
 func (l *FIFOLock) Lock() { l.Reserve().Wait() }
 

@@ -3,21 +3,16 @@
 // that keep operation executions in token-arrival order, and the drainer
 // goroutines that pop queued executions and run them.
 //
-// Two execution modes are provided:
+// Each instance with queued work has one on-demand drainer goroutine. The
+// paper's progress-while-stalled semantics hold: an operation that is about
+// to block relinquishes the drainer role first (Instance.Relinquish), so
+// queued executions keep flowing while it waits. Per-instance FIFO ordering
+// is guaranteed by the tickets, which are reserved under the queue lock at
+// enqueue time: queue order and lock grant order always agree.
 //
-//   - direct (Workers <= 1): each instance with pending work has its own
-//     on-demand drainer goroutine, the original scheme;
-//   - sharded (Workers = N > 1): instances are statically assigned to N
-//     shards and runnable instances queue on their shard, so at most N
-//     unblocked drainer goroutines run concurrently (goroutines parked
-//     inside blocked operations have already handed their role off).
-//
-// In both modes the paper's progress-while-stalled semantics hold: an
-// operation that is about to block relinquishes the drainer role first
-// (Instance.Relinquish), so queued executions keep flowing while it waits.
-// Per-instance FIFO ordering is guaranteed by the tickets, which are
-// reserved under the queue lock at enqueue time: queue order and lock grant
-// order always agree.
+// The dispatch queues are unbounded. Tokens in flight are bounded upstream,
+// by each split's flow-control window and the engine's admission budget, so
+// a queued entry (an item and its ticket) is all a backlog costs here.
 package sched
 
 import (
@@ -25,22 +20,9 @@ import (
 	"sync/atomic"
 )
 
-// DefaultQueueCap bounds the per-instance dispatch queue when Config.QueueCap
-// is zero. Beyond it the scheduler degrades to the direct goroutine-per-token
-// scheme rather than blocking the poster (the per-split flow-control window
-// is the real bound on tokens in flight; this is a memory backstop).
-const DefaultQueueCap = 1024
-
-// Config tunes a Scheduler.
-type Config struct {
-	// Workers selects the execution mode: <= 1 spawns an on-demand drainer
-	// goroutine per runnable instance; > 1 multiplexes runnable instances
-	// onto that many shard workers.
-	Workers int
-	// QueueCap bounds each instance's dispatch queue; zero selects
-	// DefaultQueueCap.
-	QueueCap int
-}
+// Config tunes a Scheduler. The single execution path has no knobs; the
+// empty type keeps New's signature stable for existing callers.
+type Config struct{}
 
 // RunFunc executes one queued item. tk is the item's FIFO execution ticket
 // (the runner waits on it before entering the operation body); fromDrainer
@@ -59,25 +41,14 @@ type Stats struct {
 	Handoffs int64
 }
 
-// Scheduler dispatches work items onto per-instance FIFO queues and drains
-// them according to the configured execution mode.
+// Scheduler dispatches work items onto per-instance FIFO queues, each
+// drained by its own on-demand goroutine.
 type Scheduler[T any] struct {
-	run      RunFunc[T]
-	queueCap int
-	shards   []shard[T] // empty in direct mode
+	run RunFunc[T]
 
 	queueHighWater atomic.Int64
 	handoffs       atomic.Int64
 	pending        atomic.Int64
-}
-
-// shard is one intra-node execution lane of the sharded mode: a queue of
-// runnable instances plus the worker role, held by at most one unblocked
-// goroutine at a time.
-type shard[T any] struct {
-	mu     sync.Mutex
-	runq   []*Instance[T]
-	active bool
 }
 
 // entry is one queued execution with its pre-reserved ticket.
@@ -90,41 +61,24 @@ type entry[T any] struct {
 // queue and the FIFO lock serializing the operation bodies that run on it.
 type Instance[T any] struct {
 	sched *Scheduler[T]
-	sh    *shard[T] // nil in direct mode
 
 	lock FIFOLock
 
 	mu       sync.Mutex
 	queue    []entry[T]
 	draining bool // a goroutine owns the right to pop this queue
-	queued   bool // sharded mode: instance sits on its shard's run queue
 }
 
 // New creates a scheduler executing items with run.
 func New[T any](cfg Config, run RunFunc[T]) *Scheduler[T] {
 	s := new(Scheduler[T])
-	s.Init(cfg, run)
+	s.Init(run)
 	return s
 }
 
 // Init initializes an embedded (zero-valued) scheduler in place.
-func (s *Scheduler[T]) Init(cfg Config, run RunFunc[T]) {
+func (s *Scheduler[T]) Init(run RunFunc[T]) {
 	s.run = run
-	s.queueCap = cfg.QueueCap
-	if s.queueCap <= 0 {
-		s.queueCap = DefaultQueueCap
-	}
-	if cfg.Workers > 1 {
-		s.shards = make([]shard[T], cfg.Workers)
-	}
-}
-
-// Workers returns the number of shard workers (1 for the direct mode).
-func (s *Scheduler[T]) Workers() int {
-	if len(s.shards) == 0 {
-		return 1
-	}
-	return len(s.shards)
 }
 
 // Stats returns a snapshot of the scheduler's counters.
@@ -137,30 +91,23 @@ func (s *Scheduler[T]) Stats() Stats {
 
 // Pending reports the number of items currently sitting in the scheduler's
 // dispatch queues: enqueued but not yet popped by a drainer. A live
-// saturation gauge (not a cumulative counter) for exporters; items that
-// overflow onto their own goroutine are not queued and not counted.
+// saturation gauge (not a cumulative counter) for exporters.
 func (s *Scheduler[T]) Pending() int64 {
 	return s.pending.Load()
 }
 
-// NewInstance creates an instance; key selects its shard in sharded mode
-// (instances with equal keys modulo Workers share a lane).
+// NewInstance creates an instance. The key is accepted for source
+// compatibility and does not affect scheduling.
 func (s *Scheduler[T]) NewInstance(key int) *Instance[T] {
 	inst := new(Instance[T])
-	s.InitInstance(inst, key)
+	s.InitInstance(inst)
 	return inst
 }
 
 // InitInstance initializes an embedded (zero-valued) instance in place,
 // avoiding a separate allocation for containers that hold one per thread.
-func (s *Scheduler[T]) InitInstance(inst *Instance[T], key int) {
+func (s *Scheduler[T]) InitInstance(inst *Instance[T]) {
 	inst.sched = s
-	if n := len(s.shards); n > 0 {
-		if key < 0 {
-			key = -key
-		}
-		inst.sh = &s.shards[key%n]
-	}
 }
 
 // Lock acquires the instance's FIFO execution lock with a fresh reservation,
@@ -171,40 +118,19 @@ func (inst *Instance[T]) Lock() { inst.lock.Lock() }
 // Unlock releases the instance's FIFO execution lock.
 func (inst *Instance[T]) Unlock() { inst.lock.Unlock() }
 
-// Enqueue reserves the execution ticket and queues the item, making the
-// instance runnable if no goroutine currently holds its drainer role. When
-// the queue is at capacity the item instead runs on its own goroutine (the
-// ticket still serializes it in order).
+// Enqueue reserves the execution ticket and queues the item, spawning a
+// drainer if no goroutine currently holds the instance's drainer role.
 func (inst *Instance[T]) Enqueue(it T) {
 	s := inst.sched
 	inst.mu.Lock()
-	tk := inst.lock.Reserve()
-	if len(inst.queue) >= s.queueCap {
-		inst.mu.Unlock()
-		go s.run(it, tk, false)
-		return
-	}
-	inst.queue = append(inst.queue, entry[T]{it: it, tk: tk})
+	inst.queue = append(inst.queue, entry[T]{it: it, tk: inst.lock.Reserve()})
 	s.pending.Add(1)
 	s.noteDepth(int64(len(inst.queue)))
-	if inst.sh == nil {
-		spawn := !inst.draining
-		if spawn {
-			inst.draining = true
-		}
-		inst.mu.Unlock()
-		if spawn {
-			go s.drainLoop(inst)
-		}
-		return
-	}
-	signal := !inst.draining && !inst.queued
-	if signal {
-		inst.queued = true
-	}
+	spawn := !inst.draining
+	inst.draining = true
 	inst.mu.Unlock()
-	if signal {
-		s.pushRunnable(inst)
+	if spawn {
+		go s.drainLoop(inst)
 	}
 }
 
@@ -216,129 +142,42 @@ func (inst *Instance[T]) Enqueue(it T) {
 func (inst *Instance[T]) Relinquish() {
 	s := inst.sched
 	s.handoffs.Add(1)
-	if inst.sh == nil {
-		inst.mu.Lock()
-		if len(inst.queue) > 0 {
-			inst.mu.Unlock()
-			go s.drainLoop(inst)
-			return
-		}
+	inst.mu.Lock()
+	if len(inst.queue) == 0 {
 		inst.draining = false
 		inst.mu.Unlock()
 		return
 	}
-	// Sharded: give up the instance-drainer role, requeue the instance if
-	// it still has work, then pass the shard-worker role to a successor
-	// goroutine (the caller is about to block inside an operation).
-	inst.mu.Lock()
-	inst.draining = false
-	requeue := len(inst.queue) > 0 && !inst.queued
-	if requeue {
-		inst.queued = true
-	}
 	inst.mu.Unlock()
-	sh := inst.sh
-	sh.mu.Lock()
-	if requeue {
-		sh.runq = append(sh.runq, inst)
-	}
-	if len(sh.runq) == 0 {
-		sh.active = false
-		sh.mu.Unlock()
-		return
-	}
-	sh.mu.Unlock()
-	go s.shardLoop(sh)
-}
-
-// pushRunnable queues an instance on its shard and makes sure a worker
-// goroutine is draining the shard.
-func (s *Scheduler[T]) pushRunnable(inst *Instance[T]) {
-	sh := inst.sh
-	sh.mu.Lock()
-	sh.runq = append(sh.runq, inst)
-	spawn := !sh.active
-	if spawn {
-		sh.active = true
-	}
-	sh.mu.Unlock()
-	if spawn {
-		go s.shardLoop(sh)
-	}
-}
-
-// shardLoop is a shard-worker goroutine: it pops runnable instances and
-// drains them inline until the shard is idle or the worker role was handed
-// off mid-operation (drainLoop returning false).
-func (s *Scheduler[T]) shardLoop(sh *shard[T]) {
-	for {
-		sh.mu.Lock()
-		if len(sh.runq) == 0 {
-			sh.active = false
-			sh.mu.Unlock()
-			return
-		}
-		inst := sh.runq[0]
-		sh.runq[0] = nil
-		sh.runq = sh.runq[1:]
-		sh.mu.Unlock()
-		inst.mu.Lock()
-		inst.queued = false
-		if inst.draining || len(inst.queue) == 0 {
-			inst.mu.Unlock()
-			continue
-		}
-		inst.draining = true
-		inst.mu.Unlock()
-		if !s.drainLoop(inst) {
-			// An operation blocked; Relinquish spawned a successor worker
-			// (or parked the shard), so this goroutine retires.
-			return
-		}
-	}
+	go s.drainLoop(inst)
 }
 
 // drainLoop pops queued executions of one instance and runs them inline,
-// starting with the drainer role held. It returns true once the queue is
-// empty, or false if the calling goroutine lost the role to a successor (an
-// operation blocked mid-execution and handed it off).
-func (s *Scheduler[T]) drainLoop(inst *Instance[T]) bool {
+// starting with the drainer role held. It returns once the queue is empty,
+// or once the calling goroutine lost the role to a successor (an operation
+// blocked mid-execution and handed it off).
+func (s *Scheduler[T]) drainLoop(inst *Instance[T]) {
 	for {
 		inst.mu.Lock()
 		if len(inst.queue) == 0 {
 			inst.draining = false
 			inst.mu.Unlock()
-			return true
+			return
 		}
 		e := inst.queue[0]
 		inst.queue[0] = entry[T]{}
 		inst.queue = inst.queue[1:]
 		inst.mu.Unlock()
 		s.pending.Add(-1)
-		if inst.sh != nil && !e.tk.granted() {
-			// Sharded mode: the instance's execution lock is held by an
-			// earlier operation still running (e.g. one that blocked,
-			// reacquired and is now computing). Parking this worker in
-			// tk.Wait would starve every other instance of the lane, so the
-			// item runs on its own goroutine (the ticket keeps it in FIFO
-			// order) and the lane moves on.
-			go s.run(e.it, e.tk, false)
-			continue
-		}
 		if s.run(e.it, e.tk, true) {
 			continue
 		}
-		if inst.sh != nil {
-			// Sharded mode: the relinquish already requeued the instance if
-			// needed; the popped-queue invariant belongs to the successor.
-			return false
-		}
-		// Direct mode: reclaim the role unless a successor drainer is
-		// active, exactly as the original monolithic loop did.
+		// The operation blocked and handed the role off: reclaim it unless
+		// the successor drainer is still active.
 		inst.mu.Lock()
 		if inst.draining {
 			inst.mu.Unlock()
-			return false
+			return
 		}
 		inst.draining = true
 		inst.mu.Unlock()

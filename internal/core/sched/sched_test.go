@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,17 +94,16 @@ func TestFIFOLockImmediateGrant(t *testing.T) {
 
 // --- Scheduler -----------------------------------------------------------
 
-// testOrderPreserved pushes n items through one instance with an
-// engine-style runner (wait ticket, record, unlock) and checks execution
-// order matches enqueue order.
-func testOrderPreserved(t *testing.T, workers int) {
-	t.Helper()
+// TestOrderDirect pushes items through one instance with an engine-style
+// runner (wait ticket, record, unlock) and checks execution order matches
+// enqueue order.
+func TestOrderDirect(t *testing.T) {
 	const n = 1000
 	var mu sync.Mutex
 	var got []int
 	var wg sync.WaitGroup
 	var inst *Instance[int]
-	s := New(Config{Workers: workers}, func(it int, tk Ticket, fromDrainer bool) bool {
+	s := New(Config{}, func(it int, tk Ticket, fromDrainer bool) bool {
 		tk.Wait()
 		mu.Lock()
 		got = append(got, it)
@@ -120,95 +120,46 @@ func testOrderPreserved(t *testing.T, workers int) {
 	wg.Wait()
 	for i, v := range got {
 		if v != i {
-			t.Fatalf("order violated at %d (workers=%d): got %v", i, workers, got[i])
+			t.Fatalf("order violated at %d: got %v", i, got[i])
 		}
 	}
 }
 
-func TestOrderDirect(t *testing.T)  { testOrderPreserved(t, 1) }
-func TestOrderSharded(t *testing.T) { testOrderPreserved(t, 4) }
-
-// TestShardedConcurrency checks that distinct instances on distinct shards
-// actually run concurrently: two blocking items must overlap in time.
-func TestShardedConcurrency(t *testing.T) {
-	var running atomic.Int32
-	var peak atomic.Int32
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	var a, b *Instance[int]
-	s := New(Config{Workers: 2}, func(it int, tk Ticket, fromDrainer bool) bool {
-		tk.Wait()
-		if v := running.Add(1); v > peak.Load() {
-			peak.Store(v)
-		}
-		<-release
-		running.Add(-1)
-		if it == 1 {
-			a.Unlock()
-		} else {
-			b.Unlock()
-		}
-		wg.Done()
-		return fromDrainer
-	})
-	a = s.NewInstance(0)
-	b = s.NewInstance(1)
-	wg.Add(2)
-	a.Enqueue(1)
-	b.Enqueue(2)
-	// Give both shard workers time to enter their items.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	if peak.Load() != 2 {
-		t.Fatalf("expected 2 concurrent executions across shards, peak %d", peak.Load())
-	}
-}
-
-// TestRelinquishKeepsShardLive checks the drainer handoff: an item that
-// blocks mid-execution (after relinquishing, like a stalled split) must not
-// stall other instances of its shard.
-func TestRelinquishKeepsShardLive(t *testing.T) {
+// TestRelinquishKeepsQueueDraining checks the drainer handoff: while an
+// item is blocked mid-execution (after relinquishing, like a stalled
+// split), later items of the same instance must keep running.
+func TestRelinquishKeepsQueueDraining(t *testing.T) {
 	release := make(chan struct{})
 	otherRan := make(chan struct{})
 	blockerDone := make(chan struct{})
-	var blocker, other *Instance[string]
-	// Two worker lanes, but both instances keyed onto lane 0 so the test
-	// exercises the in-lane handoff.
-	s := New(Config{Workers: 2}, func(it string, tk Ticket, fromDrainer bool) bool {
+	var inst *Instance[string]
+	s := New(Config{}, func(it string, tk Ticket, fromDrainer bool) bool {
 		tk.Wait()
 		if it == "blocker" {
 			// A blocking operation: hand the role off, release the
 			// execution lock, wait, reacquire, finish.
 			if fromDrainer {
-				blocker.Relinquish()
+				inst.Relinquish()
 				fromDrainer = false
 			}
-			blocker.Unlock()
+			inst.Unlock()
 			<-release
-			blocker.Lock()
-			blocker.Unlock()
+			inst.Lock()
+			inst.Unlock()
 			close(blockerDone)
 			return fromDrainer
 		}
-		other.Unlock()
+		inst.Unlock()
 		close(otherRan)
 		return fromDrainer
 	})
-	// Both instances land on the single shard.
-	blocker = s.NewInstance(0)
-	other = s.NewInstance(0)
-	blocker.Enqueue("blocker")
-	go func() {
-		// Give the blocker time to start and relinquish, then enqueue the
-		// second instance's work on the same shard.
-		time.Sleep(20 * time.Millisecond)
-		other.Enqueue("other")
-	}()
+	inst = s.NewInstance(0)
+	inst.Enqueue("blocker")
+	inst.Enqueue("other")
 	select {
 	case <-otherRan:
 	case <-time.After(5 * time.Second):
-		t.Fatal("shard stalled behind a blocked operation")
+		t.Fatal("queue stalled behind a blocked operation")
 	}
 	close(release)
 	select {
@@ -226,7 +177,7 @@ func TestQueueHighWater(t *testing.T) {
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
 	var inst *Instance[int]
-	s := New(Config{Workers: 1}, func(it int, tk Ticket, fromDrainer bool) bool {
+	s := New(Config{}, func(it int, tk Ticket, fromDrainer bool) bool {
 		tk.Wait()
 		<-gate
 		inst.Unlock()
@@ -246,15 +197,17 @@ func TestQueueHighWater(t *testing.T) {
 	}
 }
 
-// TestOverflowRunsEverything checks the queue-cap overflow path still runs
-// every item exactly once in FIFO order.
-func TestOverflowRunsEverything(t *testing.T) {
-	const n = 64
+// TestBacklogStaysQueued holds one instance's execution lock and enqueues
+// a deep backlog: every item must wait in the queue, visible to Pending,
+// at no goroutine per item, and must run in enqueue order once the lock
+// frees.
+func TestBacklogStaysQueued(t *testing.T) {
+	const n = 4096
 	var mu sync.Mutex
 	var got []int
 	var wg sync.WaitGroup
 	var inst *Instance[int]
-	s := New(Config{Workers: 1, QueueCap: 4}, func(it int, tk Ticket, fromDrainer bool) bool {
+	s := New(Config{}, func(it int, tk Ticket, fromDrainer bool) bool {
 		tk.Wait()
 		mu.Lock()
 		got = append(got, it)
@@ -264,73 +217,32 @@ func TestOverflowRunsEverything(t *testing.T) {
 		return fromDrainer
 	})
 	inst = s.NewInstance(0)
+	inst.Lock() // an earlier operation holds the execution lock
+	before := runtime.NumGoroutine()
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		inst.Enqueue(i)
 	}
+	// The drainer pops the head and parks on its ticket; the rest stays
+	// queued.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Pending() != n-1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if p := s.Pending(); p != n-1 {
+		t.Fatalf("Pending() = %d with %d items behind a held lock, want %d", p, n, n-1)
+	}
+	if grew := runtime.NumGoroutine() - before; grew > 8 {
+		t.Fatalf("backlog of %d items grew the goroutine count by %d", n, grew)
+	}
+	inst.Unlock()
 	wg.Wait()
-	if len(got) != n {
-		t.Fatalf("ran %d of %d items", len(got), n)
+	if p := s.Pending(); p != 0 {
+		t.Fatalf("Pending() = %d after the backlog drained", p)
 	}
 	for i, v := range got {
 		if v != i {
-			t.Fatalf("overflow path broke FIFO order at %d: %v", i, got[:i+1])
+			t.Fatalf("backlog ran out of order at %d: %v", i, got[:i+1])
 		}
-	}
-}
-
-// TestWorkersReported checks mode selection.
-func TestWorkersReported(t *testing.T) {
-	if w := New[int](Config{}, nil).Workers(); w != 1 {
-		t.Fatalf("direct mode workers = %d", w)
-	}
-	if w := New[int](Config{Workers: 8}, nil).Workers(); w != 8 {
-		t.Fatalf("sharded mode workers = %d", w)
-	}
-}
-
-// TestShardLaneLiveDespiteHeldLock checks that a shard worker does not park
-// on a FIFO ticket while an instance's execution lock is held by an earlier
-// (resumed) operation: other instances of the lane must keep being served,
-// and the waiting item must still run in order once the lock frees.
-func TestShardLaneLiveDespiteHeldLock(t *testing.T) {
-	aRan := make(chan struct{})
-	bRan := make(chan struct{})
-	var a, b *Instance[string]
-	s := New(Config{Workers: 2}, func(it string, tk Ticket, fromDrainer bool) bool {
-		tk.Wait()
-		switch it {
-		case "a":
-			a.Unlock()
-			close(aRan)
-		case "b":
-			b.Unlock()
-			close(bRan)
-		}
-		return fromDrainer
-	})
-	// Both instances on lane 0.
-	a = s.NewInstance(0)
-	b = s.NewInstance(0)
-	// An earlier operation holds A's execution lock (as after a blocking
-	// point's reacquire) while A has queued work.
-	a.Lock()
-	a.Enqueue("a")
-	b.Enqueue("b")
-	select {
-	case <-bRan:
-	case <-time.After(5 * time.Second):
-		t.Fatal("lane starved: instance B not served while A's lock was held")
-	}
-	select {
-	case <-aRan:
-		t.Fatal("A's item ran although its execution lock was held")
-	case <-time.After(20 * time.Millisecond):
-	}
-	a.Unlock() // the earlier operation finishes
-	select {
-	case <-aRan:
-	case <-time.After(5 * time.Second):
-		t.Fatal("A's item did not run after the lock freed")
 	}
 }

@@ -48,7 +48,7 @@ func TestDeepNesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 1}, 60*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 1}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestWideFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tokens = 5000
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestServiceCallMidGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 4}, 60*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 4}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +227,13 @@ func TestConcurrentCallsKeepStateConsistent(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if _, err := g1.CallTimeout(app.MasterNode(), &CountToken{N: 8}, 60*time.Second); err != nil {
+			if _, err := callWithin(g1, app.MasterNode(), &CountToken{N: 8}, 60*time.Second); err != nil {
 				t.Error(err)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := g2.CallTimeout(app.MasterNode(), &CountToken{N: 8}, 60*time.Second); err != nil {
+			if _, err := callWithin(g2, app.MasterNode(), &CountToken{N: 8}, 60*time.Second); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -267,7 +267,7 @@ func TestConcurrentCallsKeepStateConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g3.CallTimeout(app.MasterNode(), &CountToken{}, 60*time.Second)
+	out, err := callWithin(g3, app.MasterNode(), &CountToken{}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

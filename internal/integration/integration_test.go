@@ -111,7 +111,9 @@ func TestVideoStreamPipelining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &vsReq{Frames: 30, Parts: 2}, 60*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	out, err := g.CallFrom(ctx, app.MasterNode(), &vsReq{Frames: 30, Parts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +268,9 @@ func TestWindowStallCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.CallTimeout("w0", &parlife.StepOrder{}, 30*time.Second); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := g.CallFrom(ctx, "w0", &parlife.StepOrder{}); err != nil {
 		t.Fatal(err)
 	}
 	if app.Stats().WindowStalls == 0 {
@@ -480,7 +484,9 @@ func TestUppercaseEndToEndAllTransports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := g.CallTimeout("x0", &wordsReq{Text: input}, 30*time.Second)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			out, err := g.CallFrom(ctx, "x0", &wordsReq{Text: input})
 			if err != nil {
 				t.Fatal(err)
 			}

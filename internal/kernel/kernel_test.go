@@ -229,7 +229,9 @@ func TestDPSAppOverKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &kReq{Text: "tokens over real tcp kernels"}, 20*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err := g.CallFrom(ctx, app.MasterNode(), &kReq{Text: "tokens over real tcp kernels"})
 	if err != nil {
 		t.Fatal(err)
 	}

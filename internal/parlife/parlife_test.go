@@ -1,6 +1,7 @@
 package parlife
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -232,7 +233,9 @@ func TestExposedServiceFromOtherApp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(clientApp.MasterNode(), &ReadReq{Row: 2, Col: 3, H: 4, W: 5}, 20*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err := g.CallFrom(ctx, clientApp.MasterNode(), &ReadReq{Row: 2, Col: 3, H: 4, W: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

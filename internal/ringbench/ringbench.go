@@ -68,7 +68,7 @@ func RunDPS(cfg simnet.Config, ringNodes, totalBytes, blockSize, window int) (Re
 }
 
 // RunDPSConfig is RunDPS with full control over the engine configuration
-// (flow-control policy, scheduler workers, queue bound).
+// (window, flow-control policy, batching, checkpointing).
 func RunDPSConfig(cfg simnet.Config, ringNodes, totalBytes, blockSize int, appCfg core.Config) (Result, error) {
 	return RunDPSRebalance(cfg, ringNodes, totalBytes, blockSize, appCfg, RebalanceSpec{})
 }

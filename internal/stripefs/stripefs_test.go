@@ -2,6 +2,7 @@ package stripefs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -237,7 +238,9 @@ func TestFigure5Scenario(t *testing.T) {
 		}
 		for i := 0; i < 5; i++ {
 			off := (id*3 + i) * 1000
-			out, err := g.CallTimeout(app.MasterNode(), &ReadReq{Name: "shared.bin", Offset: off, Length: 2000}, 30*time.Second)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			out, err := g.CallFrom(ctx, app.MasterNode(), &ReadReq{Name: "shared.bin", Offset: off, Length: 2000})
+			cancel()
 			if err != nil {
 				return err
 			}
