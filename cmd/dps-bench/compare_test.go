@@ -269,7 +269,7 @@ func svMeasurement(rows map[string][2]string) measurement {
 		NsOp:   1000,
 		Header: []string{"workload", "mode", "calls/s", "p50[ms]", "p99[ms]", "p999[ms]", "rejected", "expired"},
 	}
-	for _, key := range []string{"echo/mutex", "echo/sharded", "fan/sharded", "registry/sharded"} {
+	for _, key := range []string{"echo/sharded", "fan/sharded", "registry/sharded"} {
 		if v, ok := rows[key]; ok {
 			workload, mode, _ := strings.Cut(key, "/")
 			p50, p999 := "10.00", "90.00"
@@ -285,14 +285,14 @@ func svMeasurement(rows map[string][2]string) measurement {
 func TestCompareServeGate(t *testing.T) {
 	dir := t.TempDir()
 	oldP := writeBench(t, dir, "old.json", []measurement{svMeasurement(map[string][2]string{
-		"echo/mutex": {"20000", "60.00"}, "echo/sharded": {"45000", "55.00"},
-		"fan/sharded": {"12000", "150.00"}, "registry/sharded": {"5000000", "-"},
+		"echo/sharded": {"45000", "55.00"},
+		"fan/sharded":  {"12000", "150.00"}, "registry/sharded": {"5000000", "-"},
 	})})
 
 	// Wobble within the threshold on both metrics passes.
 	okP := writeBench(t, dir, "ok.json", []measurement{svMeasurement(map[string][2]string{
-		"echo/mutex": {"19000", "63.00"}, "echo/sharded": {"43000", "58.00"},
-		"fan/sharded": {"11500", "155.00"}, "registry/sharded": {"4800000", "-"},
+		"echo/sharded": {"43000", "58.00"},
+		"fan/sharded":  {"11500", "155.00"}, "registry/sharded": {"4800000", "-"},
 	})})
 	var sb strings.Builder
 	regressed, err := compareFiles(oldP, okP, 0.10, &sb)
@@ -305,8 +305,8 @@ func TestCompareServeGate(t *testing.T) {
 
 	// calls/s dropping 30% on one row fails (higher is better).
 	rateP := writeBench(t, dir, "rate.json", []measurement{svMeasurement(map[string][2]string{
-		"echo/mutex": {"20000", "60.00"}, "echo/sharded": {"31000", "55.00"},
-		"fan/sharded": {"12000", "150.00"}, "registry/sharded": {"5000000", "-"},
+		"echo/sharded": {"31000", "55.00"},
+		"fan/sharded":  {"12000", "150.00"}, "registry/sharded": {"5000000", "-"},
 	})})
 	sb.Reset()
 	if regressed, err = compareFiles(oldP, rateP, 0.10, &sb); err != nil {
@@ -318,8 +318,8 @@ func TestCompareServeGate(t *testing.T) {
 
 	// p99 rising 50% fails even with calls/s holding (lower is better).
 	p99P := writeBench(t, dir, "p99.json", []measurement{svMeasurement(map[string][2]string{
-		"echo/mutex": {"20000", "60.00"}, "echo/sharded": {"45000", "85.00"},
-		"fan/sharded": {"12000", "150.00"}, "registry/sharded": {"5000000", "-"},
+		"echo/sharded": {"45000", "85.00"},
+		"fan/sharded":  {"12000", "150.00"}, "registry/sharded": {"5000000", "-"},
 	})})
 	sb.Reset()
 	if regressed, err = compareFiles(oldP, p99P, 0.10, &sb); err != nil {
@@ -332,8 +332,8 @@ func TestCompareServeGate(t *testing.T) {
 	// Registry rows carry "-" latency cells: gated on ops/s only, and a
 	// 30% drop there still fails.
 	regP := writeBench(t, dir, "reg.json", []measurement{svMeasurement(map[string][2]string{
-		"echo/mutex": {"20000", "60.00"}, "echo/sharded": {"45000", "55.00"},
-		"fan/sharded": {"12000", "150.00"}, "registry/sharded": {"3400000", "-"},
+		"echo/sharded": {"45000", "55.00"},
+		"fan/sharded":  {"12000", "150.00"}, "registry/sharded": {"3400000", "-"},
 	})})
 	sb.Reset()
 	if regressed, err = compareFiles(oldP, regP, 0.10, &sb); err != nil {

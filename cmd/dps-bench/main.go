@@ -35,8 +35,7 @@
 // tokens/s trajectory).
 //
 // The serve experiment (not in the paper) saturates a 3-node real-TCP
-// deployment with thousands of concurrent closed-loop callers and compares
-// the single-mutex pending-call table with the sharded registry under
+// deployment with thousands of concurrent closed-loop callers under
 // admission control and the deadline-aware flow policy; -compare gates on
 // its calls/s and p99 trajectory.
 //
@@ -253,7 +252,7 @@ func renderMarkdown(reports []*bench.Report, opt bench.Options) string {
 		"rebalance":  "Rebalance — live thread remap of a ring hop mid-benchmark (not in paper)",
 		"failover":   "Failover — ring node crash mid-benchmark, checkpoint restore + replay (not in paper)",
 		"throughput": "Throughput — batched wire path over real TCP loopback (not in paper)",
-		"serve":      "Serve — 10k-caller saturation, sharded call registry vs single mutex (not in paper)",
+		"serve":      "Serve — 10k-caller saturation under admission control (not in paper)",
 		"chaos":      "Chaos — seeded fault schedules over live workloads (not in paper)",
 	}
 	for _, r := range reports {

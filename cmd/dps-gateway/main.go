@@ -72,7 +72,6 @@ type gatewayConfig struct {
 	nodes       int           // loopback TCP kernels to embed
 	deadline    time.Duration // per-call deadline
 	maxInflight int           // admission budget (0 = unbounded)
-	shards      int           // pending-call registry shards (0 = default)
 	window      int           // per-split flow-control window (0 = default)
 	batch       bool          // coalesce small tokens into wire frames
 	traceSample float64       // fraction of calls to trace (0 = off)
@@ -117,7 +116,6 @@ func newGateway(cfg gatewayConfig) (*gateway, error) {
 		cleanup = append(cleanup, func() { _ = k.Close() })
 	}
 	opts := []dps.Option{
-		dps.WithCallShards(cfg.shards),
 		dps.WithMaxInFlightCalls(cfg.maxInflight),
 		dps.WithFlowPolicy(dps.DeadlinePolicy(cfg.window, 0)),
 	}
@@ -275,7 +273,6 @@ func main() {
 	nodes := flag.Int("nodes", 3, "loopback TCP kernels to embed")
 	deadline := flag.Duration("deadline", 2*time.Second, "per-call deadline")
 	maxInflight := flag.Int("max-inflight", 2048, "in-flight call budget; beyond it calls shed with 429 (0 = unbounded)")
-	shards := flag.Int("shards", 0, "pending-call registry shards (0 = engine default)")
 	window := flag.Int("window", 0, "per-split flow-control window (0 = engine default)")
 	batch := flag.Bool("batch", true, "coalesce small tokens into wire frames")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of calls to trace (0..1); sampled timelines via App.TraceSpans")
@@ -285,7 +282,6 @@ func main() {
 		nodes:       *nodes,
 		deadline:    *deadline,
 		maxInflight: *maxInflight,
-		shards:      *shards,
 		window:      *window,
 		batch:       *batch,
 		traceSample: *traceSample,

@@ -101,20 +101,6 @@ func WithFlowPolicy(p FlowPolicy) Option {
 	}
 }
 
-// WithCallShards sets the number of lock shards in the pending-call
-// registry; zero keeps the engine default, values are rounded up to a power
-// of two. One shard reproduces the historical single-mutex table — useful
-// only for measurement.
-func WithCallShards(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("dps: negative call shard count %d", n)
-		}
-		c.engine.CallShards = n
-		return nil
-	}
-}
-
 // WithMaxInFlightCalls bounds the graph calls admitted concurrently across
 // the application. Beyond the budget, Call/CallAsync shed at admission with
 // an error wrapping ErrOverload instead of queueing without bound — the
@@ -229,8 +215,7 @@ func WithBatch(maxBytes, maxTokens int, delay time.Duration) Option {
 
 // WithCompression DEFLATE-compresses batch frame bodies that shrink
 // (incompressible payloads ride raw). Requires WithBatch — unbatched frames
-// are never compressed by the engine; for transport-level compression of
-// every TCP frame see the tcptransport.WithCompression option instead.
+// are never compressed.
 func WithCompression() Option {
 	return func(c *config) error {
 		c.engine.Compress = true

@@ -23,8 +23,8 @@ type PoolownConfig struct {
 	// (e.g. a decoder that returns a pooled envelope).
 	ExtraGets []string
 	// SyncPools lists package-level sync.Pool variables used directly
-	// (flateWriters.Get() / flateWriters.Put(x)) rather than through named
-	// wrapper functions.
+	// (flateWriterPool.Get() / flateWriterPool.Put(x)) rather than
+	// through named wrapper functions.
 	SyncPools []string
 }
 
@@ -103,7 +103,7 @@ func Poolown(cfg PoolownConfig) *Rule {
 }
 
 // callParts decomposes a call into (name, method): ("getBuf", "") for
-// getBuf(...), ("flateWriters", "Get") for flateWriters.Get(...).
+// getBuf(...), ("flateWriterPool", "Get") for flateWriterPool.Get(...).
 func callParts(call *ast.CallExpr) (name, method string) {
 	switch fn := call.Fun.(type) {
 	case *ast.Ident:
@@ -119,7 +119,7 @@ func callParts(call *ast.CallExpr) (name, method string) {
 // pooledLocals collects the names of locals whose binding expression
 // contains a pool Get call — `buf := getWireBuf()` as well as derivations
 // like `buf := appendHeader(getWireBuf(), m)` or the type-asserted
-// `fw, _ := flateWriters.Get().(*flate.Writer)`.
+// `w := flateWriterPool.Get().(*flate.Writer)`.
 func pooledLocals(body *ast.BlockStmt, isGet func(*ast.CallExpr) bool) map[string]bool {
 	pooled := make(map[string]bool)
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -29,17 +29,18 @@ func ProjectRules() []*Rule {
 		// the convention): project-wide, the convention is global.
 		Lockheld(),
 
-		// Pooled wire buffers and envelopes (internal/core/pool.go) and
-		// tcptransport's bare sync.Pool flate coders. decodeEnvelope hands
-		// out a pooled envelope, so its result is pool-owned too.
+		// Pooled wire buffers and envelopes (internal/core/pool.go) and the
+		// batch path's bare sync.Pool flate coders (internal/core/batch.go).
+		// decodeEnvelope hands out a pooled envelope, so its result is
+		// pool-owned too.
 		Poolown(PoolownConfig{
-			PkgSuffixes: []string{"internal/core", "internal/transport/tcptransport"},
+			PkgSuffixes: []string{"internal/core"},
 			Pools: []PoolSpec{
 				{Get: "getEnvelope", Put: "putEnvelope"},
 				{Get: "getWireBuf", Put: "putWireBuf"},
 			},
 			ExtraGets: []string{"decodeEnvelope"},
-			SyncPools: []string{"flateWriters", "flateReaders"},
+			SyncPools: []string{"flateWriterPool", "flateReaderPool"},
 		}),
 
 		// Wire kinds: engine message kinds dispatch in link.handle (batch

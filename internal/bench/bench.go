@@ -362,23 +362,8 @@ func Table1(opt Options) (*Report, error) {
 // internal/simnet.
 const paperCellCost = 125 * time.Nanosecond
 
-// lifeSpeedup measures iterations/second of the life application for one
-// (worldW, worldH, nodes, improved) configuration on the simulated fabric,
-// taking the best of two runs to suppress scheduler noise.
-func lifeSpeedup(worldW, worldH, workers, iters int, improved bool, opt Options, agg *core.Stats) (time.Duration, error) {
-	best := time.Duration(0)
-	for rep := 0; rep < 2; rep++ {
-		el, err := lifeSpeedupOnce(worldW, worldH, workers, iters, improved, opt, agg)
-		if err != nil {
-			return 0, err
-		}
-		if best == 0 || el < best {
-			best = el
-		}
-	}
-	return best, nil
-}
-
+// lifeSpeedupOnce times iters life iterations for one (worldW, worldH,
+// nodes, improved) configuration on the simulated fabric.
 func lifeSpeedupOnce(worldW, worldH, workers, iters int, improved bool, opt Options, agg *core.Stats) (time.Duration, error) {
 	net := simnet.New(gigabit())
 	defer net.Close()
@@ -430,17 +415,36 @@ func Figure9(opt Options) (*Report, error) {
 		Header: []string{"world", "variant", "nodes", "time/iter[ms]", "speedup"},
 	}
 	agg := &core.Stats{}
-	for _, w := range worlds {
-		for _, improved := range []bool{false, true} {
-			var base time.Duration
+	// Each point is the best of two runs. A repetition sweeps every world
+	// and node count with the variants alternating run by run, so a burst
+	// of other load on the host slows neighbouring points alike, and a
+	// point's two runs are never back to back.
+	type point struct {
+		world, workers int
+		improved       bool
+	}
+	elapsed := map[point]time.Duration{}
+	for rep := 0; rep < 2; rep++ {
+		for wi, w := range worlds {
 			for _, workers := range nodesList {
-				el, err := lifeSpeedup(w[0], w[1], workers, iters, improved, opt, agg)
-				if err != nil {
-					return nil, fmt.Errorf("figure9 %dx%d workers=%d: %w", w[0], w[1], workers, err)
+				for _, improved := range []bool{false, true} {
+					el, err := lifeSpeedupOnce(w[0], w[1], workers, iters, improved, opt, agg)
+					if err != nil {
+						return nil, fmt.Errorf("figure9 %dx%d workers=%d: %w", w[0], w[1], workers, err)
+					}
+					p := point{wi, workers, improved}
+					if best, ok := elapsed[p]; !ok || el < best {
+						elapsed[p] = el
+					}
 				}
-				if workers == nodesList[0] {
-					base = el
-				}
+			}
+		}
+	}
+	for wi, w := range worlds {
+		for _, improved := range []bool{false, true} {
+			base := elapsed[point{wi, nodesList[0], improved}]
+			for _, workers := range nodesList {
+				el := elapsed[point{wi, workers, improved}]
 				variant := "simple"
 				if improved {
 					variant = "improved"
@@ -509,7 +513,7 @@ func Table2(opt Options) (*Report, error) {
 			return nil, err
 		}
 
-		var samples trace.Samples
+		var samples trace.Hist
 		stop := make(chan struct{})
 		callsDone := make(chan int)
 		if blk[0] > 0 {
@@ -579,28 +583,6 @@ func Table2(opt Options) (*Report, error) {
 	}, nil
 }
 
-// luRuns measures both LU variants at one node count, best of two runs
-// each. The variants alternate run by run, so a burst of other load on the
-// host slows both alike instead of whichever happened to run during it.
-func luRuns(n, r, workers int, opt Options, agg *core.Stats) (pipelined, nonPipelined time.Duration, err error) {
-	for rep := 0; rep < 2; rep++ {
-		for _, pip := range []bool{true, false} {
-			el, err := luRunOnce(n, r, workers, pip, opt, agg)
-			if err != nil {
-				return 0, 0, fmt.Errorf("figure15 workers=%d pipelined=%v: %w", workers, pip, err)
-			}
-			best := &nonPipelined
-			if pip {
-				best = &pipelined
-			}
-			if *best == 0 || el < *best {
-				*best = el
-			}
-		}
-	}
-	return pipelined, nonPipelined, nil
-}
-
 func luRunOnce(n, r, workers int, pipelined bool, opt Options, agg *core.Stats) (time.Duration, error) {
 	// Fabric scaled 10x: the paper's CPUs computed the unoptimized LU
 	// kernels roughly 10x slower relative to their Gigabit fabric than this
@@ -632,23 +614,39 @@ func luRunOnce(n, r, workers int, pipelined bool, opt Options, agg *core.Stats) 
 func Figure15(opt Options) (*Report, error) {
 	n, r := 2048, 64
 	nodesList := []int{1, 2, 4, 8}
+	reps := 2
 	if opt.Quick {
 		n, r = 512, 32
 		nodesList = []int{1, 2, 4}
+		// Quick runs last tens of milliseconds, short enough for one burst
+		// of other load on the host to cover a point's every run.
+		reps = 4
 	}
 	t := &trace.Table{
 		Title:  fmt.Sprintf("Figure 15: LU factorization speedup, n=%d r=%d (vs 1 node, same variant)", n, r),
 		Header: []string{"variant", "nodes", "time[ms]", "speedup"},
 	}
 	agg := &core.Stats{}
-	elapsed := map[bool][]time.Duration{}
-	for _, workers := range nodesList {
-		pip, non, err := luRuns(n, r, workers, opt, agg)
-		if err != nil {
-			return nil, err
+	// Each point is the best of reps runs. A repetition sweeps every node
+	// count with the variants alternating run by run, so a burst of other
+	// load on the host slows neighbouring points alike, and a point's runs
+	// are spread over the whole experiment rather than back to back.
+	elapsed := map[bool][]time.Duration{
+		true:  make([]time.Duration, len(nodesList)),
+		false: make([]time.Duration, len(nodesList)),
+	}
+	for rep := 0; rep < reps; rep++ {
+		for i, workers := range nodesList {
+			for _, pip := range []bool{true, false} {
+				el, err := luRunOnce(n, r, workers, pip, opt, agg)
+				if err != nil {
+					return nil, fmt.Errorf("figure15 workers=%d pipelined=%v: %w", workers, pip, err)
+				}
+				if best := &elapsed[pip][i]; *best == 0 || el < *best {
+					*best = el
+				}
+			}
 		}
-		elapsed[true] = append(elapsed[true], pip)
-		elapsed[false] = append(elapsed[false], non)
 	}
 	for _, pipelined := range []bool{true, false} {
 		variant := "non-pipelined"

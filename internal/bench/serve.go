@@ -273,12 +273,13 @@ func runServe(appCfg core.Config, workload string, callers int, span time.Durati
 }
 
 // Serve is the saturation experiment: thousands of concurrent closed-loop
-// callers against a 3-node deployment over real loopback TCP, comparing the
-// historical single-mutex pending-call table (CallShards: 1) with the
-// sharded registry, under admission control (MaxInFlightCalls + ErrOverload)
-// and the deadline-aware flow policy. Reported per row: sustained calls/s
-// and the p50/p99/p999 latency of completed calls, plus how many calls were
-// shed at admission and how many expired at their deadline.
+// callers against a 3-node deployment over real loopback TCP, under
+// admission control (MaxInFlightCalls + ErrOverload) and the deadline-aware
+// flow policy. Reported per workload: sustained calls/s and the
+// p50/p99/p999 latency of completed calls, plus how many calls were shed at
+// admission and how many expired at their deadline. The mode column names
+// the pending-call registry (always the sharded one), so row keys stay
+// comparable with earlier -json artifacts.
 func Serve(opt Options) (*Report, error) {
 	callers := 10_000
 	span := 4 * time.Second
@@ -290,14 +291,7 @@ func Serve(opt Options) (*Report, error) {
 		span = opt.Duration
 	}
 
-	type mode struct {
-		name   string
-		shards int
-	}
-	modes := []mode{
-		{"mutex", 1}, // single-shard registry: the pre-sharding baseline
-		{"sharded", 0},
-	}
+	const mode = "sharded"
 	t := &trace.Table{
 		Title: fmt.Sprintf("Serve: %d closed-loop callers, 3 nodes over real TCP loopback (budget %d, deadline %v)",
 			callers, serveBudget, serveDeadline),
@@ -305,77 +299,43 @@ func Serve(opt Options) (*Report, error) {
 	}
 	agg := &core.Stats{}
 	hists := make(map[string]*trace.Hist)
-	var notes []string
 	for _, workload := range []string{"echo", "fan"} {
-		results := make(map[string]*serveResult, len(modes))
-		for _, m := range modes {
-			cfg := core.Config{
-				Batch:            true,
-				CallShards:       m.shards,
-				MaxInFlightCalls: serveBudget,
-				FlowPolicy:       flowctl.Deadline{N: flowctl.DefaultWindow},
-			}
-			res, err := runServe(cfg, workload, callers, span)
-			if err != nil {
-				return nil, fmt.Errorf("serve %s/%s: %w", workload, m.name, err)
-			}
-			results[m.name] = res
-			agg.Add(res.stats)
-			// Export the completed-call latency distribution under the table
-			// row's key, so -compare gates on exact percentiles.
-			hists[workload+"/"+m.name] = &res.latency
-			ms := func(p float64) string {
-				return fmt.Sprintf("%.2f", float64(res.latency.Percentile(p))/float64(time.Millisecond))
-			}
-			t.AddRow(
-				workload, m.name,
-				fmt.Sprintf("%.0f", res.callsPerSec),
-				ms(50), ms(99), ms(99.9),
-				fmt.Sprint(res.rejected),
-				fmt.Sprint(res.expired),
-			)
+		cfg := core.Config{
+			Batch:            true,
+			MaxInFlightCalls: serveBudget,
+			FlowPolicy:       flowctl.Deadline{N: flowctl.DefaultWindow},
 		}
-		speedup := results["sharded"].callsPerSec / results["mutex"].callsPerSec
-		notes = append(notes, fmt.Sprintf(
-			"%s: sharded registry %.2fx calls/s over the single-mutex baseline (%0.f vs %0.f); p99 %v vs %v",
-			workload, speedup,
-			results["sharded"].callsPerSec, results["mutex"].callsPerSec,
-			results["sharded"].latency.Percentile(99).Round(time.Millisecond),
-			results["mutex"].latency.Percentile(99).Round(time.Millisecond)))
+		res, err := runServe(cfg, workload, callers, span)
+		if err != nil {
+			return nil, fmt.Errorf("serve %s: %w", workload, err)
+		}
+		agg.Add(res.stats)
+		// Export the completed-call latency distribution under the table
+		// row's key, so -compare gates on exact percentiles.
+		hists[workload+"/"+mode] = &res.latency
+		ms := func(p float64) string {
+			return fmt.Sprintf("%.2f", float64(res.latency.Percentile(p))/float64(time.Millisecond))
+		}
+		t.AddRow(
+			workload, mode,
+			fmt.Sprintf("%.0f", res.callsPerSec),
+			ms(50), ms(99), ms(99.9),
+			fmt.Sprint(res.rejected),
+			fmt.Sprint(res.expired),
+		)
 	}
-	// Registry isolation rows: the same mutex-vs-sharded comparison with no
-	// graph, wire or timer work per op, so the pending-call table itself is
-	// the bottleneck. The end-to-end rows above include ~tens of µs of
-	// engine and TCP cost per call, which hides the registry on hosts
-	// without enough cores to contend the lock in parallel.
-	regSpan := span
-	if regSpan > 2*time.Second {
-		regSpan = 2 * time.Second
-	}
-	reg := make(map[string]float64, len(modes))
-	for _, m := range modes {
-		ops := core.BenchCallRegistry(m.shards, callers, regSpan)
-		reg[m.name] = ops
-		t.AddRow("registry", m.name, fmt.Sprintf("%.0f", ops), "-", "-", "-", "-", "-")
-	}
-	notes = append(notes, fmt.Sprintf(
-		"registry: sharded %.2fx ops/s over the single mutex (%.0f vs %.0f) on raw register/settle cycles",
-		reg["sharded"]/reg["mutex"], reg["sharded"], reg["mutex"]))
-	notes = append(notes,
-		"(no wire in the loop); the mutex-vs-sharded gap in every row tracks the host's core count - a lock",
-		"only contends when goroutines run in parallel, so single-core hosts measure both modes within noise.",
-		fmt.Sprintf("every caller loops with a %v deadline: a call either completes, is shed at admission (ErrOverload,", serveDeadline),
-		"counted as rejected) or expires at its deadline (counted) - the harness fails on any other outcome or any",
-		"call pending after the drain, so nothing hangs and nothing is silently dropped.",
-		"the deadline gate spends window slots on near-deadline calls first and admission sheds the excess instead",
-		"of queueing it, so completed-call latency pins to the deadline instead of growing with the backlog",
-		"(measured wall time can overshoot the deadline by caller scheduling delay on an oversubscribed host).",
-	)
 	return &Report{
 		ID:    "serve",
 		Table: t,
 		Stats: agg,
 		Hists: hists,
-		Notes: notes,
+		Notes: []string{
+			fmt.Sprintf("every caller loops with a %v deadline: a call either completes, is shed at admission (ErrOverload,", serveDeadline),
+			"counted as rejected) or expires at its deadline (counted) - the harness fails on any other outcome or any",
+			"call pending after the drain, so nothing hangs and nothing is silently dropped.",
+			"the deadline gate spends window slots on near-deadline calls first and admission sheds the excess instead",
+			"of queueing it, so completed-call latency pins to the deadline instead of growing with the backlog",
+			"(measured wall time can overshoot the deadline by caller scheduling delay on an oversubscribed host).",
+		},
 	}, nil
 }

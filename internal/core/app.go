@@ -74,15 +74,6 @@ type Config struct {
 	// by Stats.CompressedBytes/UncompressedBytes). Requires Batch; it has
 	// no effect on unbatched frames.
 	Compress bool
-	// CallShards is the lock striping of the pending-call registry: the
-	// table of in-flight graph calls is split over this many independently
-	// locked shards keyed by call ID, so saturated callers (an ingress
-	// multiplexing thousands of concurrent Graph.Calls) spread
-	// registration, completion and cancellation over independent locks.
-	// Zero selects DefaultCallShards; the value is rounded up to a power of
-	// two. One restores the historical single-mutex table, kept as a
-	// measurable baseline (dps-bench -exp serve compares the two).
-	CallShards int
 	// MaxInFlightCalls is the admission budget: the number of graph calls
 	// that may be pending (registered and unsettled) at any moment across
 	// the application. At the budget new calls are shed at admission with
@@ -227,7 +218,7 @@ func NewApp(cfg Config) *App {
 		graphs:      make(map[string]*Flowgraph),
 		ftOn:        cfg.Checkpoint > 0,
 	}
-	app.callreg.initCallRegistry(cfg.CallShards)
+	app.callreg.initCallRegistry()
 	// Call IDs travel in token envelopes and are consulted on every
 	// receiving node (cancellation drops). In a multi-process deployment
 	// (TCP kernels) each process runs its own App; sequential IDs starting

@@ -16,11 +16,11 @@ import (
 // ingress); the call had no effect — no entry token was posted.
 var ErrOverload = errors.New("dps: overloaded: in-flight call budget exhausted")
 
-// DefaultCallShards is the pending-call registry's lock striping when
-// Config.CallShards is zero. Wide enough that 10k concurrent callers spread
-// registration, completion and context lookups over independent locks instead
-// of convoying on one mutex; small enough that sweeping every shard (Close,
-// replaceMapping's swap check) stays cheap.
+// DefaultCallShards is the pending-call registry's lock striping. Wide
+// enough that 10k concurrent callers spread registration, completion and
+// context lookups over independent locks instead of convoying on one mutex;
+// small enough that sweeping every shard (Close, replaceMapping's swap check)
+// stays cheap. A power of two, so the stripe pick is a mask.
 const DefaultCallShards = 32
 
 // callShard is one stripe of the pending-call table. The shard lock is what
@@ -44,8 +44,7 @@ type callShard struct {
 // stripe round-robin across shards and concurrent callers contend only when
 // they collide on the same residue.
 type callRegistry struct {
-	shards []callShard
-	mask   uint64
+	shards [DefaultCallShards]callShard
 	// pending counts in-flight calls across all shards (registered and not
 	// yet settled). It is the admission fast path — one atomic, no locks —
 	// and is therefore maintained outside the shard locks: exact for
@@ -54,27 +53,15 @@ type callRegistry struct {
 	pending atomic.Int64
 }
 
-// initCallRegistry sizes the table; shards is rounded up to a power of two
-// so the stripe pick is a mask. shards <= 0 selects DefaultCallShards;
-// shards == 1 degenerates to the historical single-mutex table (useful as a
-// measured baseline — see dps-bench -exp serve).
-func (r *callRegistry) initCallRegistry(shards int) {
-	if shards <= 0 {
-		shards = DefaultCallShards
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	r.shards = make([]callShard, n)
-	r.mask = uint64(n - 1)
+// initCallRegistry allocates the shard maps.
+func (r *callRegistry) initCallRegistry() {
 	for i := range r.shards {
 		r.shards[i].calls = make(map[uint64]*callEntry)
 	}
 }
 
 func (r *callRegistry) shard(id uint64) *callShard {
-	return &r.shards[id&r.mask]
+	return &r.shards[id%DefaultCallShards]
 }
 
 // drainAll empties every shard and returns the evicted entries (application

@@ -237,8 +237,15 @@ func TestUnsampledCallAddsNoAllocations(t *testing.T) {
 		call(gOff)
 		call(gOn)
 	}
-	off := testing.AllocsPerRun(200, func() { call(gOff) })
-	on := testing.AllocsPerRun(200, func() { call(gOn) })
+	// Median of three alternating measurements per side: AllocsPerRun counts
+	// process-wide mallocs, and pool misses after a GC or background
+	// goroutines can shift a single measurement by a few allocations.
+	var offs, ons [3]float64
+	for i := range offs {
+		offs[i] = testing.AllocsPerRun(200, func() { call(gOff) })
+		ons[i] = testing.AllocsPerRun(200, func() { call(gOn) })
+	}
+	off, on := median3(offs), median3(ons)
 	if on > off+0.5 {
 		t.Errorf("unsampled call allocates %.1f with tracing configured vs %.1f without", on, off)
 	}
@@ -246,4 +253,8 @@ func TestUnsampledCallAddsNoAllocations(t *testing.T) {
 		t.Errorf("unsampled calls recorded %d spans", len(spans))
 	}
 	t.Logf("allocs/call: tracing-off=%.1f unsampled=%.1f", off, on)
+}
+
+func median3(v [3]float64) float64 {
+	return max(min(v[0], v[1]), min(max(v[0], v[1]), v[2]))
 }

@@ -82,18 +82,24 @@ func TestDPSOverheadShrinksWithBlockSize(t *testing.T) {
 }
 
 func TestThroughputGrowsWithBlockSize(t *testing.T) {
+	// Best of three runs per block size, alternating sizes: a large-block
+	// run moves 1 MiB in a few milliseconds, so a burst of other load from
+	// packages testing in parallel can cover a single run entirely.
 	cfg := testCfg()
-	small, err := RunDPS(cfg, 4, 1<<20, 1<<10, 32)
-	if err != nil {
-		t.Fatal(err)
+	var small, large float64
+	for rep := 0; rep < 3; rep++ {
+		s, err := RunDPS(cfg, 4, 1<<20, 1<<10, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := RunDPS(cfg, 4, 1<<20, 128<<10, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small, large = max(small, s.Throughput), max(large, l.Throughput)
 	}
-	large, err := RunDPS(cfg, 4, 1<<20, 128<<10, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if large.Throughput <= small.Throughput {
-		t.Fatalf("throughput should grow with block size: %.1f vs %.1f MB/s",
-			small.Throughput, large.Throughput)
+	if large <= small {
+		t.Fatalf("throughput should grow with block size: %.1f vs %.1f MB/s", small, large)
 	}
 }
 

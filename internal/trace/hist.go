@@ -32,9 +32,8 @@ func init() {
 // Hist is a mergeable latency histogram with logarithmic buckets: constant
 // memory regardless of sample count, percentiles within the bucket
 // resolution (≈9%), exact count/sum/min/max. The zero value is ready to
-// use. It implements the same read API as Samples (Len, Median, Percentile,
-// Min, Max, Mean), so report code works against either; unlike Samples it
-// is cheap to merge across goroutines and to encode into -json artifacts.
+// use. It is cheap to merge across goroutines and to encode into -json
+// artifacts.
 //
 // Hist is not synchronized: concurrent recorders keep one each and Merge
 // them when done.

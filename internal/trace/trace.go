@@ -1,100 +1,14 @@
 // Package trace provides the timing and reporting utilities used by the
-// experiment harness: duration samples with medians and percentiles,
+// experiment harness: latency histograms with medians and percentiles,
 // throughput computation, and plain-text table rendering for regenerating
 // the paper's tables and figure series.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
-
-// Samples accumulates duration measurements.
-type Samples struct {
-	values []time.Duration
-}
-
-// Add records one sample.
-func (s *Samples) Add(d time.Duration) { s.values = append(s.values, d) }
-
-// Len returns the number of samples.
-func (s *Samples) Len() int { return len(s.values) }
-
-// Median returns the middle sample (average of the two middles for even
-// counts); zero when empty.
-func (s *Samples) Median() time.Duration {
-	return s.Percentile(50)
-}
-
-// Percentile returns the p-th percentile (0..100) by nearest-rank with
-// midpoint interpolation at 50.
-func (s *Samples) Percentile(p float64) time.Duration {
-	if len(s.values) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), s.values...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	if p == 50 && len(sorted)%2 == 0 {
-		a, b := sorted[len(sorted)/2-1], sorted[len(sorted)/2]
-		return (a + b) / 2
-	}
-	// Clamp, never wrap: p/100*len rounds up to len for high percentiles of
-	// small sample sets, and a modulo there would alias the maximum to the
-	// minimum (p99 of 3 samples must be the largest sample, not the smallest).
-	idx := int(p / 100 * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// Mean returns the average sample.
-func (s *Samples) Mean() time.Duration {
-	if len(s.values) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum / time.Duration(len(s.values))
-}
-
-// Min returns the smallest sample.
-func (s *Samples) Min() time.Duration {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest sample.
-func (s *Samples) Max() time.Duration {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
 
 // ThroughputMBs converts bytes moved in a duration to MB/s (1 MB = 1e6 B,
 // as in the paper's Figure 6 axis).

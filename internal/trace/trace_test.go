@@ -3,94 +3,8 @@ package trace
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 )
-
-func TestSamplesMedianOdd(t *testing.T) {
-	var s Samples
-	for _, v := range []time.Duration{5, 1, 3} {
-		s.Add(v)
-	}
-	if got := s.Median(); got != 3 {
-		t.Fatalf("median = %d", got)
-	}
-}
-
-func TestSamplesMedianEven(t *testing.T) {
-	var s Samples
-	for _, v := range []time.Duration{10, 20, 30, 40} {
-		s.Add(v)
-	}
-	if got := s.Median(); got != 25 {
-		t.Fatalf("median = %d", got)
-	}
-}
-
-func TestSamplesEmpty(t *testing.T) {
-	var s Samples
-	if s.Median() != 0 || s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Len() != 0 {
-		t.Fatal("empty samples should report zeros")
-	}
-}
-
-func TestSamplesMinMaxMean(t *testing.T) {
-	var s Samples
-	for _, v := range []time.Duration{8, 2, 6} {
-		s.Add(v)
-	}
-	if s.Min() != 2 || s.Max() != 8 {
-		t.Fatalf("min/max = %d/%d", s.Min(), s.Max())
-	}
-	if got := s.Mean(); got != 5333333333/time.Duration(1e9) && got != 5 {
-		// (8+2+6)/3 = 5 (integer division of durations)
-		if got != 5 {
-			t.Fatalf("mean = %d", got)
-		}
-	}
-}
-
-func TestPercentileBounds(t *testing.T) {
-	var s Samples
-	for i := 1; i <= 100; i++ {
-		s.Add(time.Duration(i))
-	}
-	if s.Percentile(0) != 1 {
-		t.Fatalf("p0 = %d", s.Percentile(0))
-	}
-	if s.Percentile(100) != 100 {
-		t.Fatalf("p100 = %d", s.Percentile(100))
-	}
-	p90 := s.Percentile(90)
-	if p90 < 85 || p90 > 95 {
-		t.Fatalf("p90 = %d", p90)
-	}
-}
-
-func TestQuickMedianWithinRange(t *testing.T) {
-	f := func(vals []int16) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		var s Samples
-		min, max := time.Duration(vals[0]), time.Duration(vals[0])
-		for _, v := range vals {
-			d := time.Duration(v)
-			s.Add(d)
-			if d < min {
-				min = d
-			}
-			if d > max {
-				max = d
-			}
-		}
-		m := s.Median()
-		return m >= min && m <= max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestThroughputMBs(t *testing.T) {
 	if got := ThroughputMBs(100e6, time.Second); got != 100 {
@@ -142,29 +56,5 @@ func TestStopwatch(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if el := sw.Elapsed(); el < 5*time.Millisecond {
 		t.Fatalf("elapsed %v too small", el)
-	}
-}
-
-// Regression for the Percentile index clamp: the index used to be computed
-// modulo the sample count, so a high percentile over few samples (p=99 over
-// 3 samples gives index 2.97 -> 2, but p close enough to 100 gives the
-// count itself) wrapped around to the SMALLEST sample instead of the
-// largest. High percentiles must saturate at the max, never wrap.
-func TestPercentileHighDoesNotWrap(t *testing.T) {
-	var s Samples
-	for _, v := range []time.Duration{10, 20, 30} {
-		s.Add(v)
-	}
-	if got := s.Percentile(99); got != 30 {
-		t.Fatalf("p99 over 3 samples = %d, want 30 (the max)", got)
-	}
-	var big Samples
-	for i := 1; i <= 100; i++ {
-		big.Add(time.Duration(i))
-	}
-	// p just under 100: index len(sorted)*0.99999 truncates to len-1 only
-	// because of the clamp; the wrapped version returned the minimum.
-	if got := big.Percentile(99.999); got != 100 {
-		t.Fatalf("p99.999 over 100 samples = %d, want 100", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -143,7 +144,9 @@ func TestSessionEpochsAcrossRestarts(t *testing.T) {
 
 // TestStaleSessionFramesRejected: frames arriving on a connection whose
 // session was superseded by a reconnect are dropped, never delivered
-// interleaved with the new session's stream.
+// interleaved with the new session's stream. A hello that carries flags
+// after its epoch (the retired prefixed-framing request) is refused outright
+// and supersedes nothing.
 func TestStaleSessionFramesRejected(t *testing.T) {
 	table := map[string]string{}
 	resolver := StaticResolver(table)
@@ -158,8 +161,9 @@ func TestStaleSessionFramesRejected(t *testing.T) {
 
 	// Hand-rolled client: open a session with epoch 5, then a second
 	// connection claiming epoch 6 (the "restarted" process), then try to
-	// push another frame down the old epoch-5 socket.
-	dial := func(epoch uint64) net.Conn {
+	// push another frame down the old epoch-5 socket. flags, if any, trail
+	// the epoch varint in the hello.
+	dial := func(epoch uint64, flags ...byte) net.Conn {
 		c, err := net.Dial("tcp", b.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +172,8 @@ func TestStaleSessionFramesRejected(t *testing.T) {
 		if err := writeFrame(c, []byte("a")); err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(c, eb[:binary.PutUvarint(eb[:], epoch)]); err != nil {
+		hello := append(eb[:binary.PutUvarint(eb[:], epoch)], flags...)
+		if err := writeFrame(c, hello); err != nil {
 			t.Fatal(err)
 		}
 		return c
@@ -219,6 +224,39 @@ func TestStaleSessionFramesRejected(t *testing.T) {
 	case m := <-got:
 		t.Fatalf("low-epoch remnant frame %q delivered", m)
 	case <-time.After(200 * time.Millisecond):
+	}
+
+	// A higher-epoch hello with the retired prefixed-framing flag byte is
+	// refused: the receiver closes it without reading its frames, and the
+	// epoch-6 session stays live.
+	flagged := dial(7, sessionFlagPrefixed)
+	defer flagged.Close()
+	_ = writeFrame(flagged, []byte("flagged"))
+	_ = flagged.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var one [1]byte
+	if _, err := flagged.Read(one[:]); err == nil {
+		t.Fatal("flagged hello: receiver wrote on the connection instead of closing it")
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("flagged hello: receiver never closed the connection")
+	}
+	select {
+	case m := <-got:
+		t.Fatalf("frame %q on a flagged session delivered", m)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if e := b.SessionEpoch("a"); e != 6 {
+		t.Fatalf("session epoch %d after a flagged hello, want 6 (the flagged session must not supersede)", e)
+	}
+	if err := writeFrame(fresh, []byte("new-2")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-got:
+		if m != "new-2" {
+			t.Fatalf("got %q", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("epoch-6 session stopped delivering after a flagged hello")
 	}
 }
 

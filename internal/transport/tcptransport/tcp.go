@@ -22,8 +22,6 @@
 package tcptransport
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,16 +108,6 @@ func WithWriteTimeout(d time.Duration) Option {
 	return func(n *Node) { n.writeTimeout = d }
 }
 
-// WithCompression enables flate compression of outbound frames. The dialer
-// advertises it in the session handshake (a flags byte trailing the epoch),
-// switching that connection — both directions — to prefixed framing where
-// each frame carries a one-byte raw/compressed marker. Nodes without the
-// option still decode prefixed connections, so mixed clusters interoperate;
-// without it, the wire format is byte-identical to prior releases.
-func WithCompression() Option {
-	return func(n *Node) { n.compress = true }
-}
-
 // Node is one TCP-attached cluster endpoint.
 type Node struct {
 	name         string
@@ -127,7 +115,6 @@ type Node struct {
 	resolve      Resolver
 	retryBudget  time.Duration
 	writeTimeout time.Duration
-	compress     bool
 	retries      atomic.Int64
 
 	mu      sync.Mutex
@@ -150,9 +137,6 @@ type conn struct {
 	// from the same peer supersedes them.
 	inbound bool
 	epoch   uint64
-	// prefixed connections frame every payload (both directions) behind a
-	// one-byte raw/compressed marker, negotiated by the dialer's handshake.
-	prefixed bool
 }
 
 // Listen starts a node listening on addr (e.g. "127.0.0.1:0"). The returned
@@ -227,7 +211,10 @@ func (n *Node) acceptLoop() {
 // below the peer's current session is a remnant of a dead session (the
 // peer already reconnected) and is rejected outright; a higher epoch
 // supersedes — and closes — the previous inbound connection, so frames of
-// the old session can never interleave with the new stream.
+// the old session can never interleave with the new stream. An epoch frame
+// with bytes after the varint is refused before it can touch the session
+// table: it comes from a dialer asking for the retired prefixed framing
+// (sessionFlagPrefixed), whose frames this node would misread.
 func (n *Node) serveConn(c net.Conn) {
 	peer, err := readFrame(c)
 	if err != nil {
@@ -240,13 +227,10 @@ func (n *Node) serveConn(c net.Conn) {
 		return
 	}
 	epoch, k := binary.Uvarint(epochBuf)
-	if k <= 0 {
+	if k <= 0 || k != len(epochBuf) {
 		_ = c.Close()
 		return
 	}
-	// A flags byte may trail the epoch varint; dialers without one are
-	// plain-framed (the old handshake, where nothing followed the varint).
-	prefixed := len(epochBuf) > k && epochBuf[k]&sessionFlagPrefixed != 0
 	peerName := string(peer)
 
 	n.mu.Lock()
@@ -267,7 +251,7 @@ func (n *Node) serveConn(c net.Conn) {
 	// connections) — unless an existing connection (outbound dial that won
 	// a race) already serves the peer.
 	if _, exists := n.conns[peerName]; !exists {
-		n.conns[peerName] = &conn{c: c, inbound: true, epoch: epoch, prefixed: prefixed}
+		n.conns[peerName] = &conn{c: c, inbound: true, epoch: epoch}
 	}
 	n.mu.Unlock()
 
@@ -276,12 +260,6 @@ func (n *Node) serveConn(c net.Conn) {
 		if err != nil {
 			n.dropConn(peerName, c)
 			return
-		}
-		if prefixed {
-			if payload, err = decodePrefixed(payload); err != nil {
-				n.dropConn(peerName, c)
-				return
-			}
 		}
 		n.mu.Lock()
 		stale := n.sessions[peerName] != epoch
@@ -351,16 +329,6 @@ func (n *Node) trySend(dst string, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	prefix := -1
-	body := payload
-	if cc.prefixed {
-		prefix = framePrefixRaw
-		if n.compress && len(payload) >= compressMin {
-			if def, ok := deflateFrame(payload); ok {
-				prefix, body = framePrefixFlate, def
-			}
-		}
-	}
 	cc.mu.Lock()
 	if connDead(cc.c) {
 		cc.mu.Unlock()
@@ -370,7 +338,7 @@ func (n *Node) trySend(dst string, payload []byte) error {
 	if n.writeTimeout > 0 {
 		_ = cc.c.SetWriteDeadline(time.Now().Add(n.writeTimeout))
 	}
-	err = writeFrameVec(cc.c, prefix, body)
+	err = writeFrameVec(cc.c, payload)
 	cc.mu.Unlock()
 	if err != nil {
 		n.dropConn(dst, cc.c)
@@ -419,16 +387,12 @@ func (n *Node) connTo(dst string) (*conn, error) {
 		return nil, fmt.Errorf("tcptransport: dial %s (%s): %w", dst, addr, err)
 	}
 	epoch := n.nextEpoch(dst)
-	var eb [binary.MaxVarintLen64 + 1]byte
+	var eb [binary.MaxVarintLen64]byte
 	if err := writeFrame(c, []byte(n.name)); err != nil {
 		_ = c.Close()
 		return nil, err
 	}
-	hello := eb[:binary.PutUvarint(eb[:], epoch)]
-	if n.compress {
-		hello = append(hello, sessionFlagPrefixed)
-	}
-	if err := writeFrame(c, hello); err != nil {
+	if err := writeFrame(c, eb[:binary.PutUvarint(eb[:], epoch)]); err != nil {
 		_ = c.Close()
 		return nil, err
 	}
@@ -445,7 +409,7 @@ func (n *Node) connTo(dst string) (*conn, error) {
 		_ = c.Close()
 		return existing, nil
 	}
-	cc := &conn{c: c, epoch: epoch, prefixed: n.compress}
+	cc := &conn{c: c, epoch: epoch}
 	n.conns[dst] = cc
 	n.mu.Unlock()
 
@@ -459,12 +423,6 @@ func (n *Node) connTo(dst string) (*conn, error) {
 			if err != nil {
 				n.dropConn(dst, c)
 				return
-			}
-			if cc.prefixed {
-				if payload, err = decodePrefixed(payload); err != nil {
-					n.dropConn(dst, c)
-					return
-				}
 			}
 			n.mu.Lock()
 			h := n.handler
@@ -503,17 +461,17 @@ var _ transport.Transport = (*Node)(nil)
 
 const maxFrame = 1 << 30
 
-// Prefixed-framing constants: the handshake flags byte and the per-frame
-// marker on negotiated connections.
+// Retired prefixed-framing numbers. Per-frame compression was negotiated
+// by a flags byte trailing the hello's epoch varint (sessionFlagPrefixed),
+// after which every frame carried a one-byte raw/flate marker. Compression
+// now lives only in the engine's batch bodies, and serveConn refuses any
+// hello carrying flags; the numbers stay reserved so a future flag or
+// frame coding never reuses them with a different meaning.
 const (
 	sessionFlagPrefixed = 1
 
 	framePrefixRaw   = 0
 	framePrefixFlate = 1
-
-	// compressMin: frames below this are sent raw even on compressing
-	// connections — flate overhead dominates tiny frames.
-	compressMin = 512
 )
 
 func writeFrame(w io.Writer, payload []byte) error {
@@ -526,94 +484,14 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// writeFrameVec writes one frame with a single vectored write. prefix < 0
-// means plain framing ([len][payload]); otherwise the prefix byte is folded
-// into the frame body ([len+1][prefix][payload]) without copying the payload.
-func writeFrameVec(c net.Conn, prefix int, payload []byte) error {
-	var hdr [binary.MaxVarintLen64 + 1]byte
-	if prefix < 0 {
-		hn := binary.PutUvarint(hdr[:], uint64(len(payload)))
-		bufs := net.Buffers{hdr[:hn], payload}
-		_, err := bufs.WriteTo(c)
-		return err
-	}
-	hn := binary.PutUvarint(hdr[:], uint64(len(payload))+1)
-	hdr[hn] = byte(prefix)
-	bufs := net.Buffers{hdr[:hn+1], payload}
+// writeFrameVec writes one [len][payload] frame with a single vectored
+// write.
+func writeFrameVec(c net.Conn, payload []byte) error {
+	var hdr [binary.MaxVarintLen64]byte
+	hn := binary.PutUvarint(hdr[:], uint64(len(payload)))
+	bufs := net.Buffers{hdr[:hn], payload}
 	_, err := bufs.WriteTo(c)
 	return err
-}
-
-// decodePrefixed unwraps one frame of a prefixed connection: a marker byte,
-// then the payload (flate-compressed behind a declared raw length when the
-// marker says so).
-func decodePrefixed(b []byte) ([]byte, error) {
-	if len(b) == 0 {
-		return nil, errors.New("tcptransport: empty prefixed frame")
-	}
-	switch b[0] {
-	case framePrefixRaw:
-		return b[1:], nil
-	case framePrefixFlate:
-		return inflateFrame(b[1:])
-	default:
-		return nil, fmt.Errorf("tcptransport: unknown frame prefix %d", b[0])
-	}
-}
-
-var (
-	flateWriters sync.Pool // *flate.Writer
-	flateReaders sync.Pool // io.ReadCloser + flate.Resetter
-)
-
-// deflateFrame compresses a frame body into [uvarint rawLen][flate stream].
-// Reports ok=false when compression does not shrink the frame (the caller
-// then sends it raw).
-func deflateFrame(raw []byte) ([]byte, bool) {
-	var buf bytes.Buffer
-	buf.Grow(len(raw)/2 + binary.MaxVarintLen64)
-	var hdr [binary.MaxVarintLen64]byte
-	buf.Write(hdr[:binary.PutUvarint(hdr[:], uint64(len(raw)))])
-	fw, _ := flateWriters.Get().(*flate.Writer)
-	if fw == nil {
-		fw, _ = flate.NewWriter(&buf, flate.BestSpeed)
-	} else {
-		fw.Reset(&buf)
-	}
-	_, werr := fw.Write(raw)
-	cerr := fw.Close()
-	flateWriters.Put(fw)
-	if werr != nil || cerr != nil || buf.Len() >= len(raw) {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
-// inflateFrame reverses deflateFrame, refusing hostile inputs: a claimed
-// raw length past the frame limit, a stream shorter than declared, or
-// trailing garbage after the declared length.
-func inflateFrame(b []byte) ([]byte, error) {
-	rawLen, k := binary.Uvarint(b)
-	if k <= 0 || rawLen > maxFrame {
-		return nil, errors.New("tcptransport: bad compressed frame header")
-	}
-	src := bytes.NewReader(b[k:])
-	fr, _ := flateReaders.Get().(io.ReadCloser)
-	if fr == nil {
-		fr = flate.NewReader(src)
-	} else if err := fr.(flate.Resetter).Reset(src, nil); err != nil {
-		return nil, err
-	}
-	out := make([]byte, rawLen)
-	if _, err := io.ReadFull(fr, out); err != nil {
-		return nil, err
-	}
-	var one [1]byte
-	if n, _ := fr.Read(one[:]); n != 0 {
-		return nil, errors.New("tcptransport: compressed frame longer than declared")
-	}
-	flateReaders.Put(fr)
-	return out, nil
 }
 
 func readFrame(r io.Reader) ([]byte, error) {

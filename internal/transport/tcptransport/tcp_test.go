@@ -102,20 +102,26 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestLargePayload(t *testing.T) {
 	a, b := startPair(t)
-	payload := bytes.Repeat([]byte{0xAB}, 4<<20)
-	got := make(chan []byte, 1)
+	// An empty frame rides ahead of the bulk one: a zero-length body is a
+	// legal frame on the socket path too.
+	payloads := [][]byte{{}, bytes.Repeat([]byte{0xAB}, 4<<20)}
+	got := make(chan []byte, len(payloads))
 	b.SetHandler(func(src string, p []byte) { got <- p })
 	a.SetHandler(func(src string, payload []byte) {})
-	if err := a.Send("b", payload); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case p := <-got:
-		if !bytes.Equal(p, payload) {
-			t.Fatal("payload corrupted")
+	for _, payload := range payloads {
+		if err := a.Send("b", payload); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timeout")
+	}
+	for i, payload := range payloads {
+		select {
+		case p := <-got:
+			if !bytes.Equal(p, payload) {
+				t.Fatalf("payload %d corrupted: %d bytes, want %d", i, len(p), len(payload))
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("payload %d: timeout", i)
+		}
 	}
 }
 
